@@ -34,9 +34,8 @@ void CacheLeaseChannel::Observe(const sentinel::ControlResponse& response,
   const bool empty = response.cache_grant == 0 &&
                      response.cache_lease_ms == 0 && response.cache_epoch == 0;
   if (heartbeat && empty) {
-    // Liveness frames from pre-v4 peers (or endpoints without lease state
-    // wired) decode to all-zero cache fields; they carry no grant
-    // information either way.
+    // Liveness frames from endpoints without lease state wired decode to
+    // all-zero cache fields; they carry no grant information.
     return;
   }
   if (fault::Enabled() && !fault::Hit("core.cache.grant").ok()) {
@@ -378,8 +377,9 @@ class CachedHandle final : public vfs::FileHandle, public ActiveHandle {
     }
     AFS_RETURN_IF_ERROR(SyncLeaseLocked(lease));
     if (!lease.live && lease.granted_once) {
-      // Only peers that have granted before are worth a renewal crossing;
-      // a pre-v4 peer stays pure passthrough with zero extra round trips.
+      // Only sentinels that have granted before are worth a renewal
+      // crossing; one that never grants stays pure passthrough with zero
+      // extra round trips.
       AFS_RETURN_IF_ERROR(RenewLeaseLocked());
       AFS_RETURN_IF_ERROR(SyncLeaseLocked(lease));
     }

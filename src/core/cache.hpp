@@ -5,8 +5,8 @@
 // Two cooperating pieces:
 //
 //   CacheLeaseChannel — the client's view of the sentinel-granted lease.
-//     Every decoded control response (and idle heartbeat) carries the v4
-//     cache extension (PROTOCOL.md §3.7); the link feeds it into Observe,
+//     Every decoded control response (and idle heartbeat) carries the
+//     cache fields (PROTOCOL.md §3.4); the link feeds them into Observe,
 //     which latches the grant bits, re-arms the lease deadline, and
 //     records the sentinel's content epoch.  OutgoingFlags is stamped
 //     into every outbound control message, which is how the client asks
@@ -55,22 +55,22 @@ class CacheLeaseChannel {
     bool write = false;       // write lease granted
     bool recall = false;      // sentinel is recalling cached blocks
     bool live = false;        // grant present and the deadline has not passed
-    bool granted_once = false;  // any grant ever observed (v4 peer detected)
+    bool granted_once = false;  // any grant ever observed
     std::uint32_t epoch = 0;  // sentinel content epoch of the grant
     std::uint64_t revocations = 0;  // supervision revoke count
   };
 
   // Latches the grant carried by one decoded response.  Heartbeat frames
-  // whose cache fields are all zero carry no lease information (old peer
-  // or unwired endpoint) and are ignored; everything else is
-  // authoritative, including an all-zero grant from a v4 sentinel that
+  // whose cache fields are all zero carry no lease information (endpoint
+  // without lease state wired) and are ignored; everything else is
+  // authoritative, including an all-zero grant from a sentinel that
   // stopped granting.  `heartbeat` marks liveness frames.
   void Observe(const sentinel::ControlResponse& response, bool heartbeat);
   void Observe(const sentinel::ControlResponse& response) {
     Observe(response, response.heartbeat);
   }
 
-  // The v4 flags the next outbound message should carry: kCacheWantLease
+  // The cache flags the next outbound message should carry: kCacheWantLease
   // always (this channel exists because the client caches), plus
   // kCacheRecallAck while an acknowledged drop awaits the sentinel's
   // recall-clear.
@@ -95,9 +95,9 @@ class CacheLeaseChannel {
   std::atomic<std::int64_t> deadline_us_{0};  // steady-clock micros
   std::atomic<std::uint64_t> revocations_{0};
   std::atomic<bool> ack_pending_{false};
-  // Latches once a grant arrives.  Old (pre-v4) peers never set it, which
-  // is what keeps the degraded-to-passthrough path free of per-op renewal
-  // crossings.
+  // Latches once a grant arrives.  Sentinels that never grant never set
+  // it, which is what keeps the degraded-to-passthrough path free of
+  // per-op renewal crossings.
   std::atomic<bool> ever_granted_{false};
 };
 

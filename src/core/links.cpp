@@ -82,6 +82,10 @@ Result<std::pair<PipeLinkFds, PipeEndpointFds>> CreatePipePair() {
   AFS_ASSIGN_OR_RETURN(ipc::Pipe control, ipc::Pipe::Create());
   AFS_ASSIGN_OR_RETURN(ipc::Pipe response, ipc::Pipe::Create());
   AFS_ASSIGN_OR_RETURN(ipc::Pipe data, ipc::Pipe::Create());
+  for (ipc::Pipe* pipe : {&control, &response, &data}) {
+    AFS_RETURN_IF_ERROR(pipe->read_end.SetNonblocking());
+    AFS_RETURN_IF_ERROR(pipe->write_end.SetNonblocking());
+  }
   PipeLinkFds link;
   link.control_write = std::move(control.write_end);
   link.response_read = std::move(response.read_end);
@@ -132,13 +136,9 @@ Status PipeLink::AF_SendControl(const ControlMessage& message) {
     MutexLock lock(read_mu_);
     admitted_cost_ = cost;
   }
-  // Bulk payloads at/above the threshold leave the pipes for the ring —
-  // but only once the peer has advertised the shm data plane, so a
-  // pre-rev-2 sentinel never faces frames whose bytes it cannot find.
+  // Bulk payloads at/above the threshold leave the pipes for the ring.
   const std::size_t out_len = OutboundPayloadSize(message);
-  bool use_ring =
-      ring_ != nullptr && out_len >= shm_threshold_ && out_len > 0 &&
-      peer_rev_.load(std::memory_order_relaxed) >= sentinel::kDataPlaneRev;
+  bool use_ring = ring_ != nullptr && out_len >= shm_threshold_ && out_len > 0;
   if (use_ring && overload_ != OverloadPolicy::kBlock &&
       RingCongested(*ring_, ipc::ShmRing::kToSentinel, out_len)) {
     // Slow-consumer defense: the lane decision must precede the control
@@ -195,9 +195,6 @@ Status PipeLink::AF_SendControl(const ControlMessage& message) {
 }
 
 Status PipeLink::AdoptResponse(ControlResponse& response) {
-  if (response.peer_rev > peer_rev_.load(std::memory_order_relaxed)) {
-    peer_rev_.store(response.peer_rev, std::memory_order_relaxed);
-  }
   if ((response.lane & sentinel::kLaneShm) == 0 || response.lane_len == 0) {
     return Status::Ok();
   }
@@ -262,8 +259,7 @@ Result<ControlResponse> PipeLink::GetResponseInternal() {
     AFS_ASSIGN_OR_RETURN(ControlResponse response,
                          DecodeControlResponse(ByteSpan(frame)));
     if (lease_) lease_->Renew();
-    // Every frame — heartbeat or answer — latches the peer's data-plane
-    // revision; a shm-lane answer additionally drains its ring payload.
+    // A shm-lane answer drains its ring payload.
     AFS_RETURN_IF_ERROR(AdoptResponse(response));
     // ... and carries the cache-lease grant (heartbeats included: they are
     // how a recall reaches a client whose next op is still in this wait).
@@ -327,8 +323,6 @@ Result<ControlMessage> PipeEndpoint::AF_GetControl() {
     if (ready.code() != ErrorCode::kTimeout) return ready;
     if (heartbeat_interval_.count() > 0) {
       // Idle past one interval: tell the application side we are alive.
-      // Heartbeats advertise the data-plane revision too, so the link
-      // learns about the ring even before the first real answer.
       ControlResponse beat;
       beat.heartbeat = true;
       if (cache_state_ != nullptr) {
@@ -338,7 +332,7 @@ Result<ControlMessage> PipeEndpoint::AF_GetControl() {
       }
       AFS_RETURN_IF_ERROR(ipc::WriteFrame(
           fds_.response_write,
-          EncodeControlResponse(beat, ring_ ? sentinel::kDataPlaneRev : 0, 0),
+          EncodeControlResponse(beat, ring_ != nullptr, 0),
           kPipeIoTimeout));
     }
   }
@@ -387,7 +381,7 @@ Status PipeEndpoint::AF_SendResponse(const ControlResponse& response) {
   }
   AFS_RETURN_IF_ERROR(ipc::WriteFrame(
       fds_.response_write,
-      EncodeControlResponse(response, ring_ ? sentinel::kDataPlaneRev : 0,
+      EncodeControlResponse(response, ring_ != nullptr,
                             use_ring ? sentinel::kLaneShm : 0),
       kPipeIoTimeout));
   if (use_ring) {

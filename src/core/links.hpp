@@ -11,7 +11,6 @@
 //     ControlMessage, giving one user-level copy per transfer.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -59,7 +58,9 @@ struct PipeEndpointFds {
   ipc::PipeEnd data_read;
 };
 
-// Creates the three pipes and deals the ends to each side.
+// Creates the three pipes and deals the ends to each side.  All six ends
+// are O_NONBLOCK from here on (the flag survives fork and exec), so every
+// transfer on them is a syscall plus, only on EAGAIN, a bounded wait.
 Result<std::pair<PipeLinkFds, PipeEndpointFds>> CreatePipePair();
 
 class PipeLink final : public sentinel::SentinelLink {
@@ -104,10 +105,10 @@ class PipeLink final : public sentinel::SentinelLink {
   // Marks all application-side ends close-on-exec (exec-mode sentinels).
   Status SetCloexec();
 
-  // Attaches the shared ring (docs/PROTOCOL.md §3.5).  Payloads of at
-  // least `threshold` bytes ride it — but only once the peer has
-  // advertised the shm data plane in a response extension; until then
-  // everything stays on the pipes.
+  // Attaches the shared ring (docs/SHM_DATA_PLANE.md): payloads of at
+  // least `threshold` bytes ride it.  The opener drops it again (null
+  // ring) when the open banner says the sentinel could not attach.
+  // Configure before the link is shared.
   void set_shm(std::shared_ptr<ipc::ShmRing> ring, std::size_t threshold);
 
   // Per-link admission budgets (docs/OVERLOAD.md): every op charges its
@@ -122,16 +123,10 @@ class PipeLink final : public sentinel::SentinelLink {
   // ring write.  Configure before the link is shared.
   void set_overload(OverloadPolicy policy) noexcept { overload_ = policy; }
 
-  // Latched from response extensions: 0 until the sentinel's first frame
-  // arrives, kDataPlaneRev once a ring-capable peer has answered.
-  std::uint8_t peer_rev() const noexcept override {
-    return peer_rev_.load(std::memory_order_relaxed);
-  }
-
  private:
-  // Latches the peer's advertised revision and, for a shm-lane response,
-  // pulls its payload off the ring — into the stashed destination spans of
-  // the op in flight when present, into response.payload otherwise.
+  // For a shm-lane response, pulls its payload off the ring — into the
+  // stashed destination spans of the op in flight when present, into
+  // response.payload otherwise.
   Status AdoptResponse(sentinel::ControlResponse& response)
       AFS_REQUIRES(read_mu_);
 
@@ -155,9 +150,6 @@ class PipeLink final : public sentinel::SentinelLink {
   std::unique_ptr<AdmissionGate> gate_;
   // afs-lint: allow(guarded-member: configured before the link is shared)
   OverloadPolicy overload_ = OverloadPolicy::kBrownout;
-  // Monotonic latch; atomic so LinkHandle can gate vectored ops on it
-  // without taking the read lock.
-  std::atomic<std::uint8_t> peer_rev_{0};
 
   // Serializes readers of the response pipe: the application operation in
   // flight vs. the supervisor's heartbeat drain.
@@ -190,9 +182,9 @@ class PipeEndpoint final : public sentinel::SentinelEndpoint {
   }
 
   // Attaches the shared ring (set before the dispatch loop starts).  Once
-  // attached, every response advertises kDataPlaneRev and payloads of at
-  // least `threshold` bytes ride the ring; inbound shm-lane writes are
-  // drained from it instead of the data pipe.
+  // attached, every response — the open banner first — declares the ring,
+  // payloads of at least `threshold` bytes ride it, and inbound shm-lane
+  // writes are drained from it instead of the data pipe.
   void set_shm(std::shared_ptr<ipc::ShmRing> ring,
                std::size_t threshold) noexcept {
     ring_ = std::move(ring);

@@ -120,13 +120,13 @@ int SentineldMain(int argc, char** argv) {
     if (heartbeat_ms > 0) {
       endpoint.set_heartbeat_interval(Micros{heartbeat_ms * 1000});
     }
-    // Idle heartbeats carry the sentinel's cache grant (docs/CACHING.md);
-    // a pre-v4 launcher just sees zeros it never decodes.
+    // Idle heartbeats carry the sentinel's cache grant (docs/CACHING.md).
     endpoint.set_cache_state(&ctx.cache_grant);
     // Shared-memory data plane: the launching application created the ring
     // and passed its descriptor through the exec.  A failed attach is not
-    // fatal — the endpoint simply never advertises kDataPlaneRev and every
-    // payload stays on the pipes (docs/SHM_DATA_PLANE.md).
+    // fatal — the open banner goes out without the ring bit, and the
+    // application keeps every payload on the pipes and counts the fallback
+    // (docs/SHM_DATA_PLANE.md).
     std::shared_ptr<ipc::ShmRing> ring;
     if (!args.Get("shm-fd").empty()) {
       auto shm_fd = args.GetFd("shm-fd");
@@ -138,8 +138,6 @@ int SentineldMain(int argc, char** argv) {
           std::uint64_t threshold = args.GetU64("shm-threshold");
           if (threshold == 0) threshold = 4096;
           endpoint.set_shm(ring, static_cast<std::size_t>(threshold));
-        } else {
-          obs::Registry::Global().GetCounter("ipc.shm.fallbacks").Add(1);
         }
       }
     }

@@ -50,23 +50,7 @@ const bool kMetricsRegisteredEarly = [] {
 
 }  // namespace
 
-Status WriteFrame(PipeEnd& pipe, ByteSpan payload) {
-  FrameMetrics& metrics = WriteMetrics();
-  AFS_FAULT_POINT("ipc.frame.write");
-  Buffer header;
-  header.reserve(4);
-  AppendU32(header, static_cast<std::uint32_t>(payload.size()));
-  AFS_RETURN_IF_ERROR(pipe.WriteAll(header));
-  if (!payload.empty()) {
-    AFS_RETURN_IF_ERROR(pipe.WriteAll(payload));
-  }
-  metrics.frames.Add(1);
-  metrics.bytes.Add(4 + payload.size());
-  return Status::Ok();
-}
-
 Status WriteFrame(PipeEnd& pipe, ByteSpan payload, Micros timeout) {
-  if (timeout.count() <= 0) return WriteFrame(pipe, payload);
   FrameMetrics& metrics = WriteMetrics();
   AFS_FAULT_POINT("ipc.frame.write");
   Buffer header;
@@ -81,16 +65,16 @@ Status WriteFrame(PipeEnd& pipe, ByteSpan payload, Micros timeout) {
   return Status::Ok();
 }
 
-Result<Buffer> ReadFrame(PipeEnd& pipe) {
-  FrameMetrics& metrics = ReadMetrics();
-  AFS_FAULT_POINT("ipc.frame.read");
+namespace {
+
+Result<Buffer> ReadFrameBody(PipeEnd& pipe, Micros timeout) {
   std::uint8_t header[4];
   // Distinguish clean EOF (peer done) from truncation: read the first byte
   // separately.
   AFS_ASSIGN_OR_RETURN(std::size_t first,
-                       pipe.ReadSome(MutableByteSpan(header, 1)));
+                       pipe.ReadSome(MutableByteSpan(header, 1), timeout));
   if (first == 0) return ClosedError("frame stream ended");
-  AFS_RETURN_IF_ERROR(pipe.ReadExact(MutableByteSpan(header + 1, 3)));
+  AFS_RETURN_IF_ERROR(pipe.ReadExact(MutableByteSpan(header + 1, 3), timeout));
 
   std::uint32_t len = 0;
   for (int i = 0; i < 4; ++i) {
@@ -102,24 +86,24 @@ Result<Buffer> ReadFrame(PipeEnd& pipe) {
   }
   Buffer payload(len);
   if (len > 0) {
-    AFS_RETURN_IF_ERROR(pipe.ReadExact(MutableByteSpan(payload)));
+    AFS_RETURN_IF_ERROR(pipe.ReadExact(MutableByteSpan(payload), timeout));
   }
-  metrics.frames.Add(1);
-  metrics.bytes.Add(4 + payload.size());
   return payload;
 }
 
+}  // namespace
+
 Result<Buffer> ReadFrame(PipeEnd& pipe, Micros timeout) {
-  // The deadline covers the wait for the frame to begin; once bytes flow
-  // the peer is alive and the bounded-size body read completes promptly.
-  const Status ready = pipe.WaitReadable(timeout);
-  if (!ready.ok()) {
-    if (ready.code() == ErrorCode::kTimeout) {
-      ReadTimeouts().Add(1);
-    }
-    return ready;
+  AFS_FAULT_POINT("ipc.frame.read");
+  Result<Buffer> payload = ReadFrameBody(pipe, timeout);
+  if (!payload.ok()) {
+    if (payload.status().code() == ErrorCode::kTimeout) ReadTimeouts().Add(1);
+    return payload;
   }
-  return ReadFrame(pipe);
+  FrameMetrics& metrics = ReadMetrics();
+  metrics.frames.Add(1);
+  metrics.bytes.Add(4 + payload->size());
+  return payload;
 }
 
 Status FrameDecoder::Append(ByteSpan bytes) {

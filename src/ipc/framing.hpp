@@ -15,21 +15,16 @@ namespace afs::ipc {
 // data block the strategies move; bounds memory on a corrupt length prefix.
 inline constexpr std::size_t kMaxFrameBytes = 16 * 1024 * 1024;
 
-// Writes a u32 little-endian length followed by the payload.
-Status WriteFrame(PipeEnd& pipe, ByteSpan payload);
-
-// Bounded variant: every stall against a full pipe waits at most `timeout`
+// Writes a u32 little-endian length followed by the payload.  On a
+// non-blocking end every stall against a full pipe waits at most `timeout`
 // (kTimeout when the peer stops draining); non-positive = unbounded.
-Status WriteFrame(PipeEnd& pipe, ByteSpan payload, Micros timeout);
+Status WriteFrame(PipeEnd& pipe, ByteSpan payload, Micros timeout = Micros{0});
 
 // Reads one frame; kClosed at clean EOF (no partial frame read), kProtocol
-// on oversized length, kClosed on truncation mid-frame.
-Result<Buffer> ReadFrame(PipeEnd& pipe);
-
-// Deadline-aware variant: waits up to `timeout` for the frame to *start*
-// arriving (kTimeout otherwise), then reads it to completion.  A
-// non-positive timeout blocks forever, same as the plain overload.
-Result<Buffer> ReadFrame(PipeEnd& pipe, Micros timeout);
+// on oversized length, kClosed on truncation mid-frame.  On a non-blocking
+// end every wait — for the frame to start and for the rest of its body —
+// is capped by `timeout` (kTimeout otherwise); non-positive = unbounded.
+Result<Buffer> ReadFrame(PipeEnd& pipe, Micros timeout = Micros{0});
 
 // Incremental frame reassembly for event-loop transports: feed whatever
 // bytes arrived (Append), pop complete frames (Next).  The push-mode twin

@@ -1,9 +1,12 @@
-// Cross-process named mutex backed by an fcntl(2) file lock.  Paper
+// Named mutex backed by an open-file-description fcntl(2) lock.  Paper
 // Section 2.2: when multiple user processes open the same active file,
 // multiple sentinels start and "synchronize amongst themselves … using
 // semaphores, shared memory or other forms of IPC".  NamedMutex is that
 // synchronization primitive; the locking-log sentinel serializes appends
-// with it.
+// with it.  The lock belongs to this object's own descriptor, not to the
+// process, so two NamedMutex on one name exclude each other whether they
+// live in two processes or in two threads of one (the thread, direct and
+// loop strategies run several sentinels in one process).
 #pragma once
 
 #include <string>
@@ -23,12 +26,12 @@ class NamedMutex {
   NamedMutex(NamedMutex&& other) noexcept;
   NamedMutex& operator=(NamedMutex&& other) noexcept;
 
-  // Blocks until the lock is acquired.  Process-scoped: recursive
-  // acquisition from the same process deadlocks by design (matching a
-  // non-recursive mutex).
+  // Blocks until the lock is acquired.  Acquiring through a second
+  // NamedMutex on the same name while this one holds it deadlocks by
+  // design (matching a non-recursive mutex).
   Status Lock();
 
-  // Returns kBusy without blocking when another process holds the lock.
+  // Returns kBusy without blocking when another holder has the lock.
   Status TryLock();
 
   Status Unlock();

@@ -11,6 +11,29 @@
 
 namespace afs::ipc {
 
+namespace {
+
+// poll(2) on one descriptor; a non-positive timeout waits forever.
+Status WaitFor(int fd, short events, Micros timeout, const char* timeout_msg) {
+  pollfd pfd{};
+  pfd.fd = fd;
+  pfd.events = events;
+  // Round up so sub-millisecond timeouts do not busy-spin at zero.
+  const int millis =
+      timeout.count() > 0 ? static_cast<int>((timeout.count() + 999) / 1000)
+                          : -1;
+  while (true) {
+    const int rc = ::poll(&pfd, 1, millis);
+    // Ready, EOF, or error — the transfer that follows sees which.
+    if (rc > 0) return Status::Ok();
+    if (rc == 0) return TimeoutError(timeout_msg);
+    if (errno == EINTR) continue;
+    return IoError(std::string("pipe poll: ") + std::strerror(errno));
+  }
+}
+
+}  // namespace
+
 void PipeEnd::Close() noexcept {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -27,7 +50,7 @@ Status PipeEnd::SetCloexec() {
   return Status::Ok();
 }
 
-Result<std::size_t> PipeEnd::ReadSome(MutableByteSpan out) {
+Result<std::size_t> PipeEnd::ReadSome(MutableByteSpan out, Micros timeout) {
   if (!valid()) return ClosedError("read on closed pipe end");
   AFS_FAULT_POINT("ipc.pipe.read");
   // A truncate fault shortens the transfer; truncating to zero makes the
@@ -37,51 +60,28 @@ Result<std::size_t> PipeEnd::ReadSome(MutableByteSpan out) {
     const ssize_t n = ::read(fd_, out.data(), out.size());
     if (n >= 0) return static_cast<std::size_t>(n);
     if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      AFS_RETURN_IF_ERROR(WaitReadable(timeout));
+      continue;
+    }
     return IoError(std::string("pipe read: ") + std::strerror(errno));
   }
 }
 
 Status PipeEnd::WaitReadable(Micros timeout) const {
   if (!valid()) return ClosedError("wait on closed pipe end");
-  if (timeout.count() <= 0) return Status::Ok();  // unbounded read follows
-  pollfd pfd{};
-  pfd.fd = fd_;
-  pfd.events = POLLIN;
-  // Round up so sub-millisecond timeouts do not busy-spin at zero.
-  const int millis = static_cast<int>((timeout.count() + 999) / 1000);
-  while (true) {
-    const int rc = ::poll(&pfd, 1, millis);
-    if (rc > 0) return Status::Ok();  // readable, EOF, or error — read sees it
-    if (rc == 0) return TimeoutError("pipe read timed out");
-    if (errno == EINTR) continue;
-    return IoError(std::string("pipe poll: ") + std::strerror(errno));
-  }
+  return WaitFor(fd_, POLLIN, timeout, "pipe read timed out");
 }
 
 Status PipeEnd::WaitWritable(Micros timeout) const {
   if (!valid()) return ClosedError("wait on closed pipe end");
-  if (timeout.count() <= 0) return Status::Ok();  // unbounded write follows
-  pollfd pfd{};
-  pfd.fd = fd_;
-  pfd.events = POLLOUT;
-  const int millis = static_cast<int>((timeout.count() + 999) / 1000);
-  while (true) {
-    const int rc = ::poll(&pfd, 1, millis);
-    if (rc > 0) return Status::Ok();  // writable or error — the write sees it
-    if (rc == 0) return TimeoutError("pipe write timed out");
-    if (errno == EINTR) continue;
-    return IoError(std::string("pipe poll: ") + std::strerror(errno));
-  }
+  return WaitFor(fd_, POLLOUT, timeout, "pipe write timed out");
 }
 
-Status PipeEnd::SetNonblocking(bool enabled) {
+Status PipeEnd::SetNonblocking() {
   if (!valid()) return ClosedError("fcntl on closed pipe end");
   const int flags = ::fcntl(fd_, F_GETFL);
-  if (flags < 0) {
-    return IoError(std::string("fcntl F_GETFL: ") + std::strerror(errno));
-  }
-  const int next = enabled ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  if (next != flags && ::fcntl(fd_, F_SETFL, next) != 0) {
+  if (flags < 0 || ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK) != 0) {
     return IoError(std::string("fcntl O_NONBLOCK: ") + std::strerror(errno));
   }
   return Status::Ok();
@@ -114,31 +114,17 @@ Result<bool> PipeEnd::Poll() const {
   }
 }
 
-Status PipeEnd::ReadExact(MutableByteSpan out) {
-  std::size_t done = 0;
-  while (done < out.size()) {
-    AFS_ASSIGN_OR_RETURN(std::size_t n,
-                         ReadSome(out.subspan(done, out.size() - done)));
-    if (n == 0) return ClosedError("pipe peer closed mid-message");
-    done += n;
-  }
-  return Status::Ok();
-}
-
 Status PipeEnd::ReadExact(MutableByteSpan out, Micros timeout) {
-  if (timeout.count() <= 0) return ReadExact(out);
   std::size_t done = 0;
   while (done < out.size()) {
-    AFS_RETURN_IF_ERROR(WaitReadable(timeout));
-    AFS_ASSIGN_OR_RETURN(std::size_t n,
-                         ReadSome(out.subspan(done, out.size() - done)));
+    AFS_ASSIGN_OR_RETURN(std::size_t n, ReadSome(out.subspan(done), timeout));
     if (n == 0) return ClosedError("pipe peer closed mid-message");
     done += n;
   }
   return Status::Ok();
 }
 
-Status PipeEnd::WriteAll(ByteSpan bytes) {
+Status PipeEnd::WriteAll(ByteSpan bytes, Micros timeout) {
   if (!valid()) return ClosedError("write on closed pipe end");
   AFS_FAULT_POINT("ipc.pipe.write");
   // A truncate fault ships a partial payload and then fails as if the
@@ -149,53 +135,18 @@ Status PipeEnd::WriteAll(ByteSpan bytes) {
   std::size_t done = 0;
   while (done < bytes.size()) {
     const ssize_t n = ::write(fd_, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EPIPE) return ClosedError("pipe peer closed");
-      return IoError(std::string("pipe write: ") + std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  if (torn) return ClosedError("pipe peer closed mid-write (fault)");
-  return Status::Ok();
-}
-
-Status PipeEnd::WriteAll(ByteSpan bytes, Micros timeout) {
-  if (timeout.count() <= 0) return WriteAll(bytes);
-  if (!valid()) return ClosedError("write on closed pipe end");
-  AFS_FAULT_POINT("ipc.pipe.write");
-  // Same torn-write fault semantics as the unbounded path: ship a partial
-  // payload, then fail as if the peer vanished mid-message.
-  const std::size_t keep = AFS_FAULT_TRUNCATE("ipc.pipe.write", bytes.size());
-  const bool torn = keep < bytes.size();
-  if (torn) bytes = bytes.first(keep);
-
-  // O_NONBLOCK for the transfer so a full pipe surfaces as EAGAIN (a
-  // blocking pipe write parks until the whole payload fits), restored on
-  // every exit so surrounding blocking users are unaffected.
-  AFS_RETURN_IF_ERROR(SetNonblocking(true));
-  Status result = Status::Ok();
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::write(fd_, bytes.data() + done, bytes.size() - done);
     if (n >= 0) {
       done += static_cast<std::size_t>(n);
       continue;
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      result = WaitWritable(timeout);
-      if (!result.ok()) break;
+      AFS_RETURN_IF_ERROR(WaitWritable(timeout));
       continue;
     }
-    result = errno == EPIPE
-                 ? ClosedError("pipe peer closed")
-                 : IoError(std::string("pipe write: ") + std::strerror(errno));
-    break;
+    if (errno == EPIPE) return ClosedError("pipe peer closed");
+    return IoError(std::string("pipe write: ") + std::strerror(errno));
   }
-  const Status restored = SetNonblocking(false);
-  if (result.ok()) result = restored;
-  if (!result.ok()) return result;
   if (torn) return ClosedError("pipe peer closed mid-write (fault)");
   return Status::Ok();
 }

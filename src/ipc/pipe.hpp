@@ -1,7 +1,8 @@
 // RAII POSIX pipe endpoints.  The paper's process-based strategies attach
 // anonymous pipes to the sentinel's standard input/output (Section 4.1);
-// Pipe/PipeEnd are the equivalent, with the blocking read/write-exact
-// helpers every strategy needs.
+// Pipe/PipeEnd are the equivalent, with the read/write-exact helpers every
+// strategy needs.  One transfer loop serves blocking and non-blocking ends:
+// it makes the syscall and waits for readiness only on EAGAIN.
 #pragma once
 
 #include <cstddef>
@@ -43,8 +44,11 @@ class PipeEnd {
   // leak into exec'd sentinel children, or EOF never propagates.
   Status SetCloexec();
 
-  // Single read(2); returns 0 at EOF (peer closed).
-  Result<std::size_t> ReadSome(MutableByteSpan out);
+  // Reads at least one byte, or 0 at EOF (peer closed).  On a
+  // non-blocking end an empty pipe waits for data up to `timeout`
+  // (kTimeout when it passes first); a non-positive timeout waits forever.
+  // On a blocking end the read(2) itself waits.
+  Result<std::size_t> ReadSome(MutableByteSpan out, Micros timeout = Micros{0});
 
   // Blocks until the descriptor is readable (data or EOF pending).  A
   // non-positive timeout waits forever; kTimeout when the deadline passes
@@ -63,26 +67,22 @@ class PipeEnd {
   // primitive under every bounded write path.
   Status WaitWritable(Micros timeout) const;
 
-  // Toggles O_NONBLOCK.  Endpoints registered on an event loop (or using
-  // the bounded transfer helpers below) run in non-blocking mode so a full
-  // pipe surfaces as EAGAIN instead of a parked thread.
-  Status SetNonblocking(bool enabled);
+  // Sets O_NONBLOCK.  The flag lives on the open file description, so it
+  // survives fork and exec.  Link pipes and client sockets run this way:
+  // a full or empty pipe surfaces as EAGAIN, and the transfer helpers
+  // below turn that into a bounded wait instead of a parked thread.
+  Status SetNonblocking();
 
   // Reads exactly out.size() bytes or fails (kClosed on premature EOF).
-  Status ReadExact(MutableByteSpan out);
+  // On a non-blocking end each wait for more bytes is capped by `timeout`
+  // (non-positive = unbounded).
+  Status ReadExact(MutableByteSpan out, Micros timeout = Micros{0});
 
-  // Bounded variant: each wait for more bytes is capped by `timeout`
-  // (non-positive = unbounded, identical to ReadExact above).
-  Status ReadExact(MutableByteSpan out, Micros timeout);
-
-  // Writes all bytes, retrying on short writes and EINTR.
-  Status WriteAll(ByteSpan bytes);
-
-  // Bounded variant: flips the descriptor to non-blocking for the
-  // transfer; every EAGAIN waits at most `timeout` for POLLOUT
-  // (non-positive = unbounded).  kTimeout means the peer stopped draining
-  // — a wedged sentinel must cost the writer a timeout, never a hang.
-  Status WriteAll(ByteSpan bytes, Micros timeout);
+  // Writes all bytes, retrying on short writes and EINTR.  On a
+  // non-blocking end every EAGAIN waits at most `timeout` for POLLOUT
+  // (non-positive = unbounded); kTimeout means the peer stopped draining —
+  // a wedged sentinel must cost the writer a timeout, never a hang.
+  Status WriteAll(ByteSpan bytes, Micros timeout = Micros{0});
 
  private:
   int fd_ = -1;

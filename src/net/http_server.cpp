@@ -162,10 +162,12 @@ void HttpServer::Stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
+  // shutdown() wakes the blocked accept(); the descriptor is closed only
+  // after the accept thread, which still reads it, has been joined.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> threads;
   {
     MutexLock lock(conn_mu_);

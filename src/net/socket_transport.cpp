@@ -347,15 +347,8 @@ Status SocketClient::EnsureConnected() {
       return IoError("connect " + path_ + ": " + std::strerror(so_error));
     }
   }
-  // Only the connect leg runs in non-blocking mode; the call pattern is a
-  // blocking request/response with its own bounded waits.
-  ipc::PipeEnd stream(fd_);
-  const Status restored = stream.SetNonblocking(false);
-  (void)stream.Release();
-  if (!restored.ok()) {
-    Disconnect();
-    return restored;
-  }
+  // The socket stays non-blocking: the framing layer turns each EAGAIN
+  // into a wait bounded by the call timeout.
   return Status::Ok();
 }
 

@@ -14,12 +14,10 @@
 //               └─ net.socket.call  12057  102   <- remote source
 //
 // Mechanics: a thread-local (trace_id, span_id) context parents new spans;
-// the control protocol carries the pair to the sentinel in a versioned
-// trailing extension of the command frame, and the sentinel ships its
-// completed spans back in the response extension, where the link adopts
-// them into the local TraceLog.  Old peers parse new frames (decoders
-// ignore trailing bytes) and new peers treat the absent extension as "no
-// trace" — see docs/PROTOCOL.md §3.4.
+// the control protocol carries the pair to the sentinel in two fixed
+// fields of the command frame, and the sentinel ships its completed spans
+// back at the end of the response frame, where the link adopts them into
+// the local TraceLog — see docs/PROTOCOL.md §3.4.
 //
 // Cost model: tracing is off until armed (TraceScope or an inbound traced
 // command).  A disarmed Span construction is one relaxed atomic load plus
@@ -151,9 +149,9 @@ class TraceScope {
   Span root_;
 };
 
-// Wire codec for the span list carried in the control-response trailing
-// extension.  Decode caps the list (kMaxWireSpans) and fails closed on
-// truncation; both directions are versioned by the caller (control.cpp).
+// Wire codec for the span list that ends a control-response frame.
+// Decode caps the list (kMaxWireSpans) and fails closed on truncation;
+// the caller (control.cpp) owns the frame's version byte.
 inline constexpr std::size_t kMaxWireSpans = 256;
 
 void AppendSpans(Buffer& out, const std::vector<SpanRecord>& spans);

@@ -2,39 +2,50 @@
 
 namespace afs::sentinel {
 
+namespace {
+// Response frame flag bits (wire byte after the version).
+constexpr std::uint8_t kResponseFlagHeartbeat = 0x01;
+constexpr std::uint8_t kResponseFlagShmRing = 0x02;
+}  // namespace
+
 Buffer EncodeControlMessage(const ControlMessage& message) {
   return EncodeControlMessage(message, message.lane);
 }
 
 Buffer EncodeControlMessage(const ControlMessage& message, std::uint8_t lane) {
   Buffer out;
-  out.reserve(1 + 4 + 8 + 1 + 8 + 4 + message.payload.size() + 1 + 16 + 2);
+  out.reserve(5 + 4 + 8 * 4 + 4 + message.payload.size());
+  out.push_back(kWireVersion);
   out.push_back(static_cast<std::uint8_t>(message.op));
-  AppendU32(out, message.length);
-  AppendU64(out, static_cast<std::uint64_t>(message.offset));
   out.push_back(message.origin);
-  AppendU64(out, message.range_len);
-  AppendLenPrefixed(out, ByteSpan(message.payload));
-  // Versioned trailing extension.  Pre-extension decoders stop after the
-  // payload and never see these bytes; v1 fields are the trace, v2 adds
-  // the data-plane lane byte, v4 the cache-lease flags.
-  out.push_back(kControlExtVersion);
-  AppendU64(out, message.trace_id);
-  AppendU64(out, message.parent_span);
   out.push_back(lane);
   out.push_back(message.cache_flags);
+  AppendU32(out, message.length);
+  AppendU64(out, static_cast<std::uint64_t>(message.offset));
+  AppendU64(out, message.range_len);
+  AppendU64(out, message.trace_id);
+  AppendU64(out, message.parent_span);
+  AppendLenPrefixed(out, ByteSpan(message.payload));
   return out;
 }
 
 Result<ControlMessage> DecodeControlMessage(ByteSpan bytes) {
   ByteReader reader(bytes);
   ControlMessage message;
+  std::uint8_t version = 0;
   std::uint8_t op = 0;
   std::uint64_t offset = 0;
   ByteSpan payload;
-  if (!reader.ReadU8(op) || !reader.ReadU32(message.length) ||
-      !reader.ReadU64(offset) || !reader.ReadU8(message.origin) ||
-      !reader.ReadU64(message.range_len) || !reader.ReadLenPrefixed(payload)) {
+  if (!reader.ReadU8(version) || version != kWireVersion) {
+    return ProtocolError("control message from another wire version");
+  }
+  if (!reader.ReadU8(op) || !reader.ReadU8(message.origin) ||
+      !reader.ReadU8(message.lane) || !reader.ReadU8(message.cache_flags) ||
+      !reader.ReadU32(message.length) || !reader.ReadU64(offset) ||
+      !reader.ReadU64(message.range_len) ||
+      !reader.ReadU64(message.trace_id) ||
+      !reader.ReadU64(message.parent_span) ||
+      !reader.ReadLenPrefixed(payload) || !reader.empty()) {
     return ProtocolError("malformed control message");
   }
   if (op < static_cast<std::uint8_t>(ControlOp::kRead) ||
@@ -44,119 +55,77 @@ Result<ControlMessage> DecodeControlMessage(ByteSpan bytes) {
   message.op = static_cast<ControlOp>(op);
   message.offset = static_cast<std::int64_t>(offset);
   message.payload.assign(payload.begin(), payload.end());
-  // Trailing trace extension: absent from old peers (trace stays zero);
-  // a declared-but-truncated extension is a framing bug, not old wire.
-  // Bytes past the version-1 fields belong to future versions and are
-  // ignored, the same contract old decoders apply to this extension.
-  if (!reader.empty()) {
-    std::uint8_t ext_version = 0;
-    if (!reader.ReadU8(ext_version)) {
-      return ProtocolError("malformed control message extension");
-    }
-    if (ext_version >= 1) {
-      if (!reader.ReadU64(message.trace_id) ||
-          !reader.ReadU64(message.parent_span)) {
-        return ProtocolError("truncated control message trace extension");
-      }
-    }
-    if (ext_version >= 2 && !reader.ReadU8(message.lane)) {
-      return ProtocolError("truncated control message lane extension");
-    }
-    // v3 added response-only fields; the message side gained nothing.
-    if (ext_version >= 4 && !reader.ReadU8(message.cache_flags)) {
-      return ProtocolError("truncated control message cache extension");
-    }
-  }
   return message;
 }
 
-namespace {
-// Response frame flag bits (wire byte after the status code).
-constexpr std::uint8_t kResponseFlagHeartbeat = 0x01;
-}  // namespace
-
 Buffer EncodeControlResponse(const ControlResponse& response) {
-  return EncodeControlResponse(response, response.peer_rev, response.lane);
+  return EncodeControlResponse(response, response.shm_ring, response.lane);
 }
 
-Buffer EncodeControlResponse(const ControlResponse& response,
-                             std::uint8_t peer_rev, std::uint8_t lane) {
+Buffer EncodeControlResponse(const ControlResponse& response, bool shm_ring,
+                             std::uint8_t lane) {
   // When the payload rides the shm lane its bytes are omitted from the
   // frame; lane_len tells the link how many to pull off the ring.
   const bool shm_lane = (lane & kLaneShm) != 0;
   const std::uint32_t lane_len =
       shm_lane ? static_cast<std::uint32_t>(response.payload.size()) : 0;
-  Buffer out;
-  out.reserve(1 + 2 + 4 + response.status.message().size() + 8 + 4 +
-              (shm_lane ? 0 : response.payload.size()) + 1 + 4 + 6 + 9);
-  out.push_back(response.heartbeat ? kResponseFlagHeartbeat : 0);
-  AppendU16(out, static_cast<std::uint16_t>(response.status.code()));
-  AppendLenPrefixed(out, response.status.message());
-  AppendU64(out, response.number);
-  AppendLenPrefixed(out, shm_lane ? ByteSpan() : ByteSpan(response.payload));
-  // Versioned trailing extension (spans riding home to the application,
-  // then the v2 data-plane handshake fields).
-  out.push_back(kControlExtVersion);
-  obs::AppendSpans(out, response.remote_spans);
-  out.push_back(peer_rev);
-  out.push_back(lane);
-  AppendU32(out, lane_len);
-  // v3: the shed hint (zero on non-overloaded responses).  When the
-  // responder only tagged the hint into the status message, lift it into
-  // the typed field here so every peer sees it the same way.
+  // The shed hint: when the responder only tagged it into the status
+  // message, lift it into the typed field so the link sees it the same way.
   std::uint32_t retry_after_ms = response.retry_after_ms;
   if (retry_after_ms == 0 &&
       response.status.code() == ErrorCode::kOverloaded) {
     retry_after_ms =
         static_cast<std::uint32_t>(RetryAfterHintMs(response.status));
   }
-  AppendU32(out, retry_after_ms);
-  // v4: the cache-lease grant triple (all zero from uncached sentinels).
+  std::uint8_t flags = 0;
+  if (response.heartbeat) flags |= kResponseFlagHeartbeat;
+  if (shm_ring) flags |= kResponseFlagShmRing;
+  Buffer out;
+  out.reserve(6 + 4 * 4 + 8 + 4 + response.status.message().size() + 4 +
+              (shm_lane ? 0 : response.payload.size()) + 4);
+  out.push_back(kWireVersion);
+  out.push_back(flags);
+  AppendU16(out, static_cast<std::uint16_t>(response.status.code()));
+  out.push_back(lane);
   out.push_back(response.cache_grant);
+  AppendU32(out, lane_len);
+  AppendU32(out, retry_after_ms);
   AppendU32(out, response.cache_lease_ms);
   AppendU32(out, response.cache_epoch);
+  AppendU64(out, response.number);
+  AppendLenPrefixed(out, response.status.message());
+  AppendLenPrefixed(out, shm_lane ? ByteSpan() : ByteSpan(response.payload));
+  obs::AppendSpans(out, response.remote_spans);
   return out;
 }
 
 Result<ControlResponse> DecodeControlResponse(ByteSpan bytes) {
   ByteReader reader(bytes);
+  ControlResponse response;
+  std::uint8_t version = 0;
   std::uint8_t flags = 0;
   std::uint16_t code = 0;
   std::string message;
-  ControlResponse response;
   ByteSpan payload;
+  if (!reader.ReadU8(version) || version != kWireVersion) {
+    return ProtocolError("control response from another wire version");
+  }
   if (!reader.ReadU8(flags) || !reader.ReadU16(code) ||
+      !reader.ReadU8(response.lane) || !reader.ReadU8(response.cache_grant) ||
+      !reader.ReadU32(response.lane_len) ||
+      !reader.ReadU32(response.retry_after_ms) ||
+      !reader.ReadU32(response.cache_lease_ms) ||
+      !reader.ReadU32(response.cache_epoch) ||
+      !reader.ReadU64(response.number) ||
       !reader.ReadLenPrefixedString(message) ||
-      !reader.ReadU64(response.number) || !reader.ReadLenPrefixed(payload)) {
+      !reader.ReadLenPrefixed(payload) ||
+      !obs::ReadSpans(reader, response.remote_spans) || !reader.empty()) {
     return ProtocolError("malformed control response");
   }
   response.status = Status(static_cast<ErrorCode>(code), std::move(message));
   response.payload.assign(payload.begin(), payload.end());
   response.heartbeat = (flags & kResponseFlagHeartbeat) != 0;
-  if (!reader.empty()) {
-    std::uint8_t ext_version = 0;
-    if (!reader.ReadU8(ext_version)) {
-      return ProtocolError("malformed control response extension");
-    }
-    if (ext_version >= 1 &&
-        !obs::ReadSpans(reader, response.remote_spans)) {
-      return ProtocolError("truncated control response trace extension");
-    }
-    if (ext_version >= 2 &&
-        (!reader.ReadU8(response.peer_rev) || !reader.ReadU8(response.lane) ||
-         !reader.ReadU32(response.lane_len))) {
-      return ProtocolError("truncated control response lane extension");
-    }
-    if (ext_version >= 3 && !reader.ReadU32(response.retry_after_ms)) {
-      return ProtocolError("truncated control response overload extension");
-    }
-    if (ext_version >= 4 &&
-        (!reader.ReadU8(response.cache_grant) ||
-         !reader.ReadU32(response.cache_lease_ms) ||
-         !reader.ReadU32(response.cache_epoch))) {
-      return ProtocolError("truncated control response cache extension");
-    }
-  }
+  response.shm_ring = (flags & kResponseFlagShmRing) != 0;
   return response;
 }
 

@@ -32,13 +32,6 @@ class SentinelLink {
   // implementations are AFS_NONBLOCKING so an event loop can multiplex
   // them (see docs/STATIC_ANALYSIS.md).
   virtual Result<ControlResponse> AF_GetResponse() AFS_NONBLOCKING = 0;
-
-  // Data-plane revision the peer has advertised so far.  In-process links
-  // share this build, so the default is kDataPlaneRev; cross-process links
-  // start at 0 ("pipes only") and latch the revision stamped on responses
-  // (docs/PROTOCOL.md §3.5).  Callers gate vectored ops and shm routing on
-  // this being >= kDataPlaneRev.
-  virtual std::uint8_t peer_rev() const noexcept { return kDataPlaneRev; }
 };
 
 // Sentinel side.

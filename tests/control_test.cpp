@@ -18,6 +18,10 @@ TEST(ControlCodecTest, MessageRoundTrip) {
   msg.origin = 2;
   msg.range_len = 999;
   msg.payload = ToBuffer("custom");
+  msg.trace_id = 0xdeadbeefcafef00dULL;
+  msg.parent_span = 0x123456789abcdef0ULL;
+  msg.lane = kLaneShm;
+  msg.cache_flags = kCacheWantLease | kCacheRecallAck;
 
   auto decoded = DecodeControlMessage(ByteSpan(EncodeControlMessage(msg)));
   ASSERT_OK(decoded.status());
@@ -27,16 +31,30 @@ TEST(ControlCodecTest, MessageRoundTrip) {
   EXPECT_EQ(decoded->origin, 2);
   EXPECT_EQ(decoded->range_len, 999u);
   EXPECT_EQ(ToString(ByteSpan(decoded->payload)), "custom");
+  EXPECT_EQ(decoded->trace_id, 0xdeadbeefcafef00dULL);
+  EXPECT_EQ(decoded->parent_span, 0x123456789abcdef0ULL);
+  EXPECT_EQ(decoded->lane, kLaneShm);
+  EXPECT_EQ(decoded->cache_flags, kCacheWantLease | kCacheRecallAck);
   // Inline lanes never cross the wire.
   EXPECT_TRUE(decoded->inline_in.empty());
   EXPECT_TRUE(decoded->inline_out.empty());
+
+  // Untraced, uncached messages carry zeros in the same fixed fields.
+  ControlMessage plain;
+  plain.op = ControlOp::kRead;
+  auto zeros = DecodeControlMessage(ByteSpan(EncodeControlMessage(plain)));
+  ASSERT_OK(zeros.status());
+  EXPECT_EQ(zeros->trace_id, 0u);
+  EXPECT_EQ(zeros->parent_span, 0u);
+  EXPECT_EQ(zeros->cache_flags, 0u);
 }
 
 TEST(ControlCodecTest, AllOpsSurvive) {
   for (auto op : {ControlOp::kRead, ControlOp::kWrite, ControlOp::kSeek,
                   ControlOp::kGetSize, ControlOp::kSetEof, ControlOp::kFlush,
                   ControlOp::kLock, ControlOp::kUnlock, ControlOp::kCustom,
-                  ControlOp::kClose}) {
+                  ControlOp::kClose, ControlOp::kReadVec,
+                  ControlOp::kWriteVec}) {
     ControlMessage msg;
     msg.op = op;
     auto decoded = DecodeControlMessage(ByteSpan(EncodeControlMessage(msg)));
@@ -46,13 +64,59 @@ TEST(ControlCodecTest, AllOpsSurvive) {
 }
 
 TEST(ControlCodecTest, GarbageRejected) {
+  auto message_code = [](const Buffer& wire) {
+    return DecodeControlMessage(ByteSpan(wire)).status().code();
+  };
+  auto response_code = [](const Buffer& wire) {
+    return DecodeControlResponse(ByteSpan(wire)).status().code();
+  };
   Buffer junk = {0x00};
-  EXPECT_EQ(DecodeControlMessage(ByteSpan(junk)).status().code(),
-            ErrorCode::kProtocolError);
-  Buffer bad_op = EncodeControlMessage(ControlMessage{});
-  bad_op[0] = 0xEE;
-  EXPECT_EQ(DecodeControlMessage(ByteSpan(bad_op)).status().code(),
-            ErrorCode::kProtocolError);
+  EXPECT_EQ(message_code(junk), ErrorCode::kProtocolError);
+
+  ControlMessage msg;
+  msg.op = ControlOp::kCustom;
+  msg.payload = ToBuffer("body");
+  msg.trace_id = 7;
+  const Buffer message = EncodeControlMessage(msg);
+  ControlResponse resp;
+  resp.status = OutOfRangeError("past eof");
+  resp.payload = ToBuffer("tail");
+  resp.remote_spans.push_back(obs::SpanRecord{1, 2, 3, 4, 5, 6, "span"});
+  const Buffer response = EncodeControlResponse(resp);
+  ASSERT_OK(DecodeControlMessage(ByteSpan(message)).status());
+  ASSERT_OK(DecodeControlResponse(ByteSpan(response)).status());
+
+  Buffer bad_op = message;
+  bad_op[1] = 0xEE;
+  EXPECT_EQ(message_code(bad_op), ErrorCode::kProtocolError);
+
+  // A frame from another wire version fails at its first byte.
+  Buffer other_message = message;
+  other_message[0] = static_cast<std::uint8_t>(kWireVersion + 1);
+  EXPECT_EQ(message_code(other_message), ErrorCode::kProtocolError);
+  Buffer other_response = response;
+  other_response[0] = static_cast<std::uint8_t>(kWireVersion + 1);
+  EXPECT_EQ(response_code(other_response), ErrorCode::kProtocolError);
+
+  // Every field is always present: each strict prefix is short.
+  for (std::size_t len = 0; len < message.size(); ++len) {
+    EXPECT_EQ(message_code(Buffer(message.begin(), message.begin() + len)),
+              ErrorCode::kProtocolError)
+        << "message prefix " << len;
+  }
+  for (std::size_t len = 0; len < response.size(); ++len) {
+    EXPECT_EQ(response_code(Buffer(response.begin(), response.begin() + len)),
+              ErrorCode::kProtocolError)
+        << "response prefix " << len;
+  }
+
+  // Nothing may follow the last field.
+  Buffer long_message = message;
+  long_message.push_back(0);
+  EXPECT_EQ(message_code(long_message), ErrorCode::kProtocolError);
+  Buffer long_response = response;
+  long_response.push_back(0);
+  EXPECT_EQ(response_code(long_response), ErrorCode::kProtocolError);
 }
 
 TEST(ControlCodecTest, ResponseRoundTrip) {
@@ -60,17 +124,39 @@ TEST(ControlCodecTest, ResponseRoundTrip) {
   resp.status = OutOfRangeError("past eof");
   resp.number = 777;
   resp.payload = ToBuffer("tail");
+  resp.heartbeat = true;
+  resp.shm_ring = true;
+  resp.cache_grant = kGrantRead | kGrantWrite;
+  resp.cache_lease_ms = 750;
+  resp.cache_epoch = 3;
+  resp.remote_spans.push_back(
+      obs::SpanRecord{11, 12, 13, 14, 15, 16, "sentinel.read"});
   auto decoded = DecodeControlResponse(ByteSpan(EncodeControlResponse(resp)));
   ASSERT_OK(decoded.status());
   EXPECT_EQ(decoded->status.code(), ErrorCode::kOutOfRange);
   EXPECT_EQ(decoded->status.message(), "past eof");
   EXPECT_EQ(decoded->number, 777u);
   EXPECT_EQ(ToString(ByteSpan(decoded->payload)), "tail");
+  EXPECT_TRUE(decoded->heartbeat);
+  EXPECT_TRUE(decoded->shm_ring);
+  EXPECT_EQ(decoded->cache_grant, kGrantRead | kGrantWrite);
+  EXPECT_EQ(decoded->cache_lease_ms, 750u);
+  EXPECT_EQ(decoded->cache_epoch, 3u);
+  ASSERT_EQ(decoded->remote_spans.size(), 1u);
+  EXPECT_EQ(decoded->remote_spans[0].trace_id, 11u);
+  EXPECT_EQ(decoded->remote_spans[0].name, "sentinel.read");
+
+  // Neither flag bit leaks into a plain answer.
+  auto plain = DecodeControlResponse(ByteSpan(EncodeControlResponse({})));
+  ASSERT_OK(plain.status());
+  EXPECT_FALSE(plain->heartbeat);
+  EXPECT_FALSE(plain->shm_ring);
+  EXPECT_TRUE(plain->remote_spans.empty());
 }
 
 TEST(ControlCodecTest, OverloadedResponseCarriesTypedRetryAfter) {
-  // The responder only tagged the hint into the status message; the v3
-  // encoder lifts it into the typed field so every peer sees it uniformly.
+  // The responder only tagged the hint into the status message; the
+  // encoder lifts it into the typed field so the link sees it uniformly.
   ControlResponse resp;
   resp.status = OverloadedError("admission shed", 25);
   auto decoded = DecodeControlResponse(ByteSpan(EncodeControlResponse(resp)));
@@ -87,28 +173,6 @@ TEST(ControlCodecTest, ExplicitRetryAfterFieldBeatsTheMessageTag) {
   auto decoded = DecodeControlResponse(ByteSpan(EncodeControlResponse(resp)));
   ASSERT_OK(decoded.status());
   EXPECT_EQ(decoded->retry_after_ms, 40u);
-}
-
-TEST(ControlCodecTest, V2ResponseWithoutOverloadExtensionDecodes) {
-  // A v2 peer's frame ends at lane_len; the decoder must leave the hint at
-  // its zero default instead of rejecting the shorter extension.
-  ControlResponse resp;  // empty message and payload: fixed layout below
-  Buffer wire = EncodeControlResponse(resp);
-  // flags(1) + code(2) + msg(4+0) + number(8) + payload(4+0) = offset 19.
-  ASSERT_EQ(wire[19], kControlExtVersion);
-  wire[19] = 2;
-  wire.resize(wire.size() - 4);  // drop the v3 retry_after_ms field
-  auto decoded = DecodeControlResponse(ByteSpan(wire));
-  ASSERT_OK(decoded.status());
-  EXPECT_EQ(decoded->retry_after_ms, 0u);
-}
-
-TEST(ControlCodecTest, TruncatedOverloadExtensionRejected) {
-  ControlResponse resp;
-  Buffer wire = EncodeControlResponse(resp);
-  wire.resize(wire.size() - 2);  // declared v3, but the field is torn
-  EXPECT_EQ(DecodeControlResponse(ByteSpan(wire)).status().code(),
-            ErrorCode::kProtocolError);
 }
 
 // ---- transports -------------------------------------------------------

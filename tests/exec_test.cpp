@@ -3,9 +3,13 @@
 // afs_sentineld binary).  This is the paper's literal launch model.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "afs.hpp"
 #include "net/socket_transport.hpp"
+#include "obs/metrics.hpp"
 #include "test_util.hpp"
+#include "util/prng.hpp"
 
 #ifndef AFS_SENTINELD_PATH
 #error "AFS_SENTINELD_PATH must be defined by the build"
@@ -138,6 +142,41 @@ TEST_F(ExecSentinelTest, MissingExecutableFailsOpenCleanly) {
   auto handle = api_.OpenFile("m.af", vfs::OpenMode::kRead);
   EXPECT_FALSE(handle.ok());  // banner never arrives; exec failed
   EXPECT_EQ(api_.open_handle_count(), 0u);
+}
+
+TEST_F(ExecSentinelTest, RingAttachFailureFallsBackToPipesAtTheBanner) {
+  // The fault plan reaches only the exec'd sentineld, through its
+  // environment: its ShmRing::Attach fails, so its open banner goes out
+  // without the ring bit and this side keeps the session on the pipes.
+  obs::Counter& fallbacks =
+      obs::Registry::Global().GetCounter("ipc.shm.fallbacks");
+  obs::Counter& ring_bytes =
+      obs::Registry::Global().GetCounter("ipc.shm.bytes");
+  SentinelSpec spec = ExecSpec("null", "process_control");
+  spec.config["shm_threshold"] = "1";
+  ASSERT_OK(manager_.CreateActiveFile("ring.af", spec));
+  const std::uint64_t fallbacks_before = fallbacks.Value();
+  const std::uint64_t ring_before = ring_bytes.Value();
+  ASSERT_EQ(
+      ::setenv("AFS_FAULT_PLAN", "seed=1;ipc.shm.map_fail=error:io@n1", 1), 0);
+  auto handle = api_.OpenFile("ring.af", vfs::OpenMode::kReadWrite);
+  ASSERT_EQ(::unsetenv("AFS_FAULT_PLAN"), 0);
+  ASSERT_OK(handle.status());
+  EXPECT_EQ(fallbacks.Value() - fallbacks_before, 1u);
+
+  Buffer payload(32 * 1024);
+  Prng(0xA77AC4).Fill(MutableByteSpan(payload));
+  auto wrote = api_.WriteFile(*handle, ByteSpan(payload));
+  ASSERT_OK(wrote.status());
+  EXPECT_EQ(*wrote, payload.size());
+  ASSERT_OK(api_.SetFilePointer(*handle, 0, vfs::SeekOrigin::kBegin).status());
+  Buffer back(payload.size());
+  auto got = api_.ReadFile(*handle, MutableByteSpan(back));
+  ASSERT_OK(got.status());
+  EXPECT_EQ(*got, payload.size());
+  EXPECT_EQ(back, payload);
+  ASSERT_OK(api_.CloseHandle(*handle));
+  EXPECT_EQ(ring_bytes.Value(), ring_before);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// IPC substrate tests: pipes, framing, shm channel, process spawning,
-// cross-process named mutex.
+// IPC substrate tests: pipes, framing, process spawning, named mutex.
 #include <gtest/gtest.h>
+
+#include <fcntl.h>
 
 #include <atomic>
 #include <thread>
@@ -9,8 +10,6 @@
 #include "ipc/named_mutex.hpp"
 #include "ipc/pipe.hpp"
 #include "ipc/process.hpp"
-#include "ipc/shm_channel.hpp"
-#include "sentinel/control.hpp"
 #include "test_util.hpp"
 
 namespace afs::ipc {
@@ -59,6 +58,59 @@ TEST(PipeTest, OperationsOnClosedEndFail) {
   EXPECT_EQ(end.WriteAll(AsBytes("x")).code(), ErrorCode::kClosed);
 }
 
+TEST(PipeTest, BoundedWriteAllIntoFullNonblockingPipeTimesOut) {
+  auto pipe = Pipe::Create();
+  ASSERT_OK(pipe.status());
+  ASSERT_OK(pipe->write_end.SetNonblocking());
+  // Fill the kernel buffer: the first write that cannot fit parks on
+  // POLLOUT until the bound passes.
+  const Buffer chunk(64 * 1024, 0x5A);
+  Status status = Status::Ok();
+  for (int i = 0; i < 64 && status.ok(); ++i) {
+    status = pipe->write_end.WriteAll(ByteSpan(chunk), Micros{20'000});
+  }
+  EXPECT_EQ(status.code(), ErrorCode::kTimeout);
+  // The bounded path never toggles the descriptor back to blocking.
+  const int flags = ::fcntl(pipe->write_end.fd(), F_GETFL);
+  ASSERT_GE(flags, 0);
+  EXPECT_NE(flags & O_NONBLOCK, 0);
+}
+
+TEST(PipeTest, UnboundedReadsOnNonblockingPipeWaitForLateWriter) {
+  auto pipe = Pipe::Create();
+  ASSERT_OK(pipe.status());
+  ASSERT_OK(pipe->read_end.SetNonblocking());
+  std::thread writer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_OK(pipe->write_end.WriteAll(AsBytes("late")));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_OK(WriteFrame(pipe->write_end, AsBytes("frame")));
+  });
+  Buffer out(4);
+  const Status exact = pipe->read_end.ReadExact(MutableByteSpan(out));
+  auto frame = ReadFrame(pipe->read_end);
+  writer.join();
+  ASSERT_OK(exact);
+  EXPECT_EQ(ToString(ByteSpan(out)), "late");
+  ASSERT_OK(frame.status());
+  EXPECT_EQ(ToString(ByteSpan(*frame)), "frame");
+}
+
+TEST(FramingTest, ReadFrameTimeoutBoundsTheBody) {
+  auto pipe = Pipe::Create();
+  ASSERT_OK(pipe.status());
+  ASSERT_OK(pipe->read_end.SetNonblocking());
+  // A header promising 8 bytes, then only 3: the body wait is bounded too.
+  Buffer torn;
+  AppendU32(torn, 8);
+  torn.push_back('a');
+  torn.push_back('b');
+  torn.push_back('c');
+  ASSERT_OK(pipe->write_end.WriteAll(ByteSpan(torn)));
+  EXPECT_EQ(ReadFrame(pipe->read_end, Micros{20'000}).status().code(),
+            ErrorCode::kTimeout);
+}
+
 TEST(FramingTest, RoundTripFrames) {
   auto pipe = Pipe::Create();
   ASSERT_OK(pipe.status());
@@ -103,65 +155,6 @@ TEST(FramingTest, OversizedLengthRejected) {
   ASSERT_OK(pipe->write_end.WriteAll(ByteSpan(header)));
   EXPECT_EQ(ReadFrame(pipe->read_end).status().code(),
             ErrorCode::kProtocolError);
-}
-
-TEST(ShmChannelTest, StreamAcrossThreads) {
-  ShmChannel channel(16);  // small: forces blocking on both sides
-  const std::string payload(1000, 'q');
-  std::thread writer([&] { ASSERT_OK(channel.Write(AsBytes(payload))); });
-  std::string collected;
-  Buffer chunk(64);
-  while (collected.size() < payload.size()) {
-    auto n = channel.ReadSome(MutableByteSpan(chunk));
-    ASSERT_OK(n.status());
-    ASSERT_GT(*n, 0u);
-    collected += ToString(ByteSpan(chunk.data(), *n));
-  }
-  writer.join();
-  EXPECT_EQ(collected, payload);
-}
-
-TEST(ShmChannelTest, CloseDrainsThenEof) {
-  ShmChannel channel;
-  ASSERT_OK(channel.Write(AsBytes("tail")));
-  channel.Close();
-  EXPECT_EQ(channel.Write(AsBytes("no")).code(), ErrorCode::kClosed);
-  Buffer out(8);
-  auto n = channel.ReadSome(MutableByteSpan(out));
-  ASSERT_OK(n.status());
-  EXPECT_EQ(*n, 4u);
-  n = channel.ReadSome(MutableByteSpan(out));
-  ASSERT_OK(n.status());
-  EXPECT_EQ(*n, 0u);
-}
-
-TEST(ShmChannelTest, CloseUnblocksReader) {
-  ShmChannel channel;
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    channel.Close();
-  });
-  Buffer out(8);
-  auto n = channel.ReadSome(MutableByteSpan(out));
-  closer.join();
-  ASSERT_OK(n.status());
-  EXPECT_EQ(*n, 0u);
-}
-
-TEST(EventTest, SignalBeforeWait) {
-  Event event;
-  event.Signal();
-  EXPECT_TRUE(event.Wait());
-}
-
-TEST(EventTest, ShutdownUnblocks) {
-  Event event;
-  std::thread t([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    event.Shutdown();
-  });
-  EXPECT_FALSE(event.Wait());
-  t.join();
 }
 
 TEST(ProcessTest, SpawnFunctionReturnsExitCode) {
@@ -235,7 +228,6 @@ TEST(NamedMutexTest, TryLockReportsBusyAcrossProcesses) {
   NamedMutex mine(tmp.path(), "shared");
   ASSERT_OK(mine.Lock());
 
-  // fcntl locks are per-process, so contention needs a real child.
   auto child = SpawnFunction([&]() -> int {
     NamedMutex theirs(tmp.path(), "shared");
     return theirs.TryLock().code() == ErrorCode::kBusy ? 0 : 1;
@@ -250,6 +242,20 @@ TEST(NamedMutexTest, TryLockReportsBusyAcrossProcesses) {
   });
   ASSERT_OK(child2.status());
   EXPECT_EQ(*child2->Wait(), 0);
+}
+
+TEST(NamedMutexTest, TryLockReportsBusyWithinOneProcess) {
+  // Two sentinels of the thread, direct or loop strategies share one
+  // process; their mutexes must still exclude each other.
+  TempDir tmp;
+  NamedMutex first(tmp.path(), "shared");
+  NamedMutex second(tmp.path(), "shared");
+  ASSERT_OK(first.Lock());
+  EXPECT_EQ(second.TryLock().code(), ErrorCode::kBusy);
+  ASSERT_OK(first.Unlock());
+  ASSERT_OK(second.TryLock());
+  EXPECT_EQ(first.TryLock().code(), ErrorCode::kBusy);
+  ASSERT_OK(second.Unlock());
 }
 
 TEST(NamedMutexTest, MutualExclusionAcrossProcesses) {
@@ -285,127 +291,6 @@ TEST(NamedMutexTest, MutualExclusionAcrossProcesses) {
   ASSERT_EQ(std::fscanf(f, "%ld", &value), 1);
   std::fclose(f);
   EXPECT_EQ(value, 100);
-}
-
-// ---- control-frame trace extension compatibility ---------------------------
-// The trace ids ride in a versioned TRAILING extension of the control
-// frames (docs/PROTOCOL.md §3.4).  The compatibility contract, both ways:
-// pre-extension frames (no trailing bytes) decode with zeroed trace
-// fields, and current decoders ignore bytes past the fields they know —
-// exactly what pre-extension decoders did to this extension.
-
-// A pre-extension control message frame, byte for byte: op, length,
-// offset, origin, range_len, length-prefixed payload — and nothing after.
-Buffer EncodeLegacyControlMessage(const sentinel::ControlMessage& message) {
-  Buffer out;
-  out.push_back(static_cast<std::uint8_t>(message.op));
-  AppendU32(out, message.length);
-  AppendU64(out, static_cast<std::uint64_t>(message.offset));
-  out.push_back(message.origin);
-  AppendU64(out, message.range_len);
-  AppendLenPrefixed(out, ByteSpan(message.payload));
-  return out;
-}
-
-TEST(ControlCompatTest, LegacyMessageWithoutExtensionDecodesWithZeroTrace) {
-  sentinel::ControlMessage message;
-  message.op = sentinel::ControlOp::kRead;
-  message.length = 512;
-  message.offset = -8;
-  message.origin = 2;
-
-  auto decoded =
-      sentinel::DecodeControlMessage(ByteSpan(EncodeLegacyControlMessage(message)));
-  ASSERT_OK(decoded.status());
-  EXPECT_EQ(decoded->op, sentinel::ControlOp::kRead);
-  EXPECT_EQ(decoded->length, 512u);
-  EXPECT_EQ(decoded->offset, -8);
-  EXPECT_EQ(decoded->trace_id, 0u);
-  EXPECT_EQ(decoded->parent_span, 0u);
-}
-
-TEST(ControlCompatTest, LegacyResponseWithoutExtensionDecodesWithNoSpans) {
-  // A pre-extension response frame: flags, status, message, number,
-  // payload — encode with the current encoder, then truncate the trailing
-  // extension (1 version byte + 4-byte empty span count + the v2 fields:
-  // peer_rev u8, lane u8, lane_len u32 + the v3 field: retry_after u32 +
-  // the v4 fields: cache_grant u8, cache_lease_ms u32, cache_epoch u32).
-  sentinel::ControlResponse response;
-  response.status = Status::Ok();
-  response.number = 42;
-  Buffer wire = sentinel::EncodeControlResponse(response);
-  ASSERT_GE(wire.size(), 24u);
-  wire.resize(wire.size() - 24);
-
-  auto decoded = sentinel::DecodeControlResponse(ByteSpan(wire));
-  ASSERT_OK(decoded.status());
-  EXPECT_EQ(decoded->number, 42u);
-  EXPECT_TRUE(decoded->remote_spans.empty());
-}
-
-TEST(ControlCompatTest, CacheExtensionRoundTrips) {
-  // The v4 cache-lease fields (PROTOCOL.md §3.7) survive a round trip on
-  // both frame directions.
-  sentinel::ControlMessage message;
-  message.op = sentinel::ControlOp::kRead;
-  message.cache_flags =
-      sentinel::kCacheWantLease | sentinel::kCacheRecallAck;
-  auto msg = sentinel::DecodeControlMessage(
-      ByteSpan(sentinel::EncodeControlMessage(message)));
-  ASSERT_OK(msg.status());
-  EXPECT_EQ(msg->cache_flags,
-            sentinel::kCacheWantLease | sentinel::kCacheRecallAck);
-
-  sentinel::ControlResponse response;
-  response.status = Status::Ok();
-  response.cache_grant = sentinel::kGrantRead | sentinel::kGrantWrite;
-  response.cache_lease_ms = 750;
-  response.cache_epoch = 3;
-  auto resp = sentinel::DecodeControlResponse(
-      ByteSpan(sentinel::EncodeControlResponse(response)));
-  ASSERT_OK(resp.status());
-  EXPECT_EQ(resp->cache_grant, sentinel::kGrantRead | sentinel::kGrantWrite);
-  EXPECT_EQ(resp->cache_lease_ms, 750u);
-  EXPECT_EQ(resp->cache_epoch, 3u);
-}
-
-TEST(ControlCompatTest, ExtensionRoundTripsTraceIds) {
-  sentinel::ControlMessage message;
-  message.op = sentinel::ControlOp::kWrite;
-  message.trace_id = 0xdeadbeefcafef00dULL;
-  message.parent_span = 0x123456789abcdef0ULL;
-
-  auto decoded = sentinel::DecodeControlMessage(
-      ByteSpan(sentinel::EncodeControlMessage(message)));
-  ASSERT_OK(decoded.status());
-  EXPECT_EQ(decoded->trace_id, 0xdeadbeefcafef00dULL);
-  EXPECT_EQ(decoded->parent_span, 0x123456789abcdef0ULL);
-}
-
-TEST(ControlCompatTest, FutureExtensionBytesAreIgnored) {
-  // A hypothetical version-2 peer appends fields we don't know about;
-  // today's decoder must take the version-1 fields and skip the rest.
-  sentinel::ControlMessage message;
-  message.op = sentinel::ControlOp::kRead;
-  message.trace_id = 7;
-  message.parent_span = 9;
-  Buffer wire = sentinel::EncodeControlMessage(message);
-  for (int i = 0; i < 12; ++i) wire.push_back(0xEE);
-
-  auto decoded = sentinel::DecodeControlMessage(ByteSpan(wire));
-  ASSERT_OK(decoded.status());
-  EXPECT_EQ(decoded->trace_id, 7u);
-  EXPECT_EQ(decoded->parent_span, 9u);
-}
-
-TEST(ControlCompatTest, TruncatedExtensionIsRejected) {
-  sentinel::ControlMessage message;
-  message.op = sentinel::ControlOp::kRead;
-  message.trace_id = 7;
-  Buffer wire = sentinel::EncodeControlMessage(message);
-  wire.resize(wire.size() - 3);  // declared extension, missing id bytes
-
-  EXPECT_FALSE(sentinel::DecodeControlMessage(ByteSpan(wire)).ok());
 }
 
 }  // namespace

@@ -13,9 +13,7 @@
 #include "common/faultpoint.hpp"
 #include "ipc/pipe.hpp"
 #include "test_util.hpp"
-#include "util/blocking_queue.hpp"
 #include "util/prng.hpp"
-#include "util/ring_buffer.hpp"
 
 namespace afs {
 namespace {
@@ -210,71 +208,6 @@ TEST(CodecPropertyTest, EncodeDecodeRoundTripsEverySeed) {
       ASSERT_OK(decoded.status());
       ASSERT_EQ(*decoded, payload);
     }
-  }
-}
-
-TEST(RingBufferPropertyTest, PartialChunkedTransferPreservesByteStream) {
-  // Push a payload through a small ring with a randomized interleaving of
-  // partial writes and partial reads; the ring is a FIFO, so the output
-  // must be byte-identical regardless of the chunking schedule.
-  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    Prng prng(seed);
-    Buffer input(1 + prng.NextBelow(4096));
-    prng.Fill(MutableByteSpan(input));
-    RingBuffer ring(1 + prng.NextBelow(64));
-
-    Buffer output;
-    output.reserve(input.size());
-    std::size_t written = 0;
-    Buffer scratch(64);
-    while (output.size() < input.size()) {
-      if (written < input.size() && prng.NextBelow(2) == 0) {
-        const std::size_t want =
-            std::min<std::size_t>(1 + prng.NextBelow(48),
-                                  input.size() - written);
-        written += ring.Write(ByteSpan(input.data() + written, want));
-      } else {
-        const std::size_t want = 1 + prng.NextBelow(48);
-        const std::size_t got =
-            ring.Read(MutableByteSpan(scratch.data(), want));
-        output.insert(output.end(), scratch.begin(),
-                      scratch.begin() + static_cast<std::ptrdiff_t>(got));
-      }
-    }
-    ASSERT_EQ(output, input);
-    ASSERT_TRUE(ring.empty());
-  }
-}
-
-TEST(BlockingQueuePropertyTest, ConcurrentProducersDeliverExactlyOnceInOrder) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    Prng prng(seed);
-    const int producers = 2 + static_cast<int>(prng.NextBelow(3));
-    const int per_producer = 50 + static_cast<int>(prng.NextBelow(200));
-    BlockingQueue<std::pair<int, int>> queue(1 + prng.NextBelow(8));
-
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(producers));
-    for (int p = 0; p < producers; ++p) {
-      threads.emplace_back([&queue, p, per_producer] {
-        for (int i = 0; i < per_producer; ++i) {
-          ASSERT_TRUE(queue.Push({p, i}));
-        }
-      });
-    }
-    // Single consumer: per-producer order must survive the bounded queue's
-    // blocking/wakeup churn, and nothing may be lost or duplicated.
-    std::vector<int> next(static_cast<std::size_t>(producers), 0);
-    for (int total = producers * per_producer; total > 0; --total) {
-      auto item = queue.Pop();
-      ASSERT_TRUE(item.has_value());
-      ASSERT_EQ(item->second, next[static_cast<std::size_t>(item->first)]++);
-    }
-    for (auto& t : threads) t.join();
-    queue.Close();
-    ASSERT_FALSE(queue.Pop().has_value());
   }
 }
 

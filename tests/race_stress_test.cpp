@@ -13,110 +13,10 @@
 
 #include "common/clock.hpp"
 #include "core/links.hpp"
-#include "ipc/shm_channel.hpp"
 #include "sentinels/notify.hpp"
-#include "util/blocking_queue.hpp"
 
 namespace afs {
 namespace {
-
-TEST(RaceStressTest, BlockingQueueManyProducersManyConsumers) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 2000;
-  BlockingQueue<int> queue(16);  // small capacity: exercise both waits
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(queue.Push(p * kPerProducer + i));
-      }
-    });
-  }
-
-  std::atomic<std::int64_t> sum{0};
-  std::atomic<int> popped{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&queue, &sum, &popped] {
-      while (auto item = queue.Pop()) {
-        sum.fetch_add(*item, std::memory_order_relaxed);
-        popped.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  for (auto& t : producers) t.join();
-  queue.Close();
-  for (auto& t : consumers) t.join();
-
-  constexpr std::int64_t kTotal = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), kTotal);
-  EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
-}
-
-TEST(RaceStressTest, ShmChannelWriterReader) {
-  ipc::ShmChannel channel(512);  // smaller than the payload: forces blocking
-  constexpr std::size_t kBytes = 256 * 1024;
-
-  std::thread writer([&channel] {
-    Buffer chunk(1499);  // deliberately not a divisor of the ring size
-    std::uint8_t next = 0;
-    std::size_t sent = 0;
-    while (sent < kBytes) {
-      const std::size_t n = std::min(chunk.size(), kBytes - sent);
-      for (std::size_t i = 0; i < n; ++i) chunk[i] = next++;
-      ASSERT_TRUE(channel.Write(ByteSpan(chunk.data(), n)).ok());
-      sent += n;
-    }
-    channel.Close();
-  });
-
-  Buffer received;
-  received.reserve(kBytes);
-  Buffer chunk(4096);
-  while (true) {
-    auto n = channel.ReadSome(MutableByteSpan(chunk));
-    ASSERT_TRUE(n.ok());
-    if (*n == 0) break;  // end-of-stream
-    received.insert(received.end(), chunk.begin(), chunk.begin() + *n);
-  }
-  writer.join();
-
-  ASSERT_EQ(received.size(), kBytes);
-  std::uint8_t expected = 0;
-  for (std::size_t i = 0; i < kBytes; ++i) {
-    ASSERT_EQ(received[i], expected++) << "at offset " << i;
-  }
-}
-
-TEST(RaceStressTest, EventSignalsAreCounted) {
-  ipc::Event event;
-  constexpr int kSignals = 5000;
-  std::atomic<int> consumed{0};
-
-  std::vector<std::thread> waiters;
-  for (int w = 0; w < 3; ++w) {
-    waiters.emplace_back([&event, &consumed] {
-      while (event.Wait()) consumed.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  std::vector<std::thread> signalers;
-  for (int s = 0; s < 2; ++s) {
-    signalers.emplace_back([&event] {
-      for (int i = 0; i < kSignals; ++i) event.Signal();
-    });
-  }
-  for (auto& t : signalers) t.join();
-  // Each Signal wakes exactly one Wait; drain before shutting down.
-  while (consumed.load(std::memory_order_relaxed) < 2 * kSignals) {
-    std::this_thread::yield();
-  }
-  event.Shutdown();
-  for (auto& t : waiters) t.join();
-  EXPECT_EQ(consumed.load(), 2 * kSignals);
-}
 
 TEST(RaceStressTest, ThreadRendezvousPingPong) {
   core::ThreadRendezvous rendezvous;

@@ -506,5 +506,45 @@ TEST_F(ShmPlaneConformanceTest, MapFailFallsBackToPipesTransparently) {
   EXPECT_GT(fallbacks.Value(), before);
 }
 
+TEST_F(ShmPlaneConformanceTest, VectoredOpsWithoutRingCrossOnce) {
+  // With the ring off, a vectored op still takes one crossing: one control
+  // frame from this side, the segments concatenated on the write pipe or
+  // in the response frame.
+  obs::Counter& frames =
+      obs::Registry::Global().GetCounter("ipc.frame.write.count");
+  ASSERT_OK(
+      manager_.CreateActiveFile("vec.af", Spec("process_control", "off")));
+  auto handle = api_.OpenFile("vec.af", vfs::OpenMode::kReadWrite);
+  ASSERT_OK(handle.status());
+  constexpr std::size_t kSegments = 8;
+  constexpr std::size_t kSegmentBytes = 1024;
+  Buffer payload(kSegments * kSegmentBytes);
+  Prng(0x8EC).Fill(MutableByteSpan(payload));
+  std::vector<ByteSpan> gather;
+  Buffer back(payload.size());
+  std::vector<MutableByteSpan> scatter;
+  for (std::size_t i = 0; i < kSegments; ++i) {
+    gather.push_back(
+        ByteSpan(payload).subspan(i * kSegmentBytes, kSegmentBytes));
+    scatter.push_back(
+        MutableByteSpan(back).subspan(i * kSegmentBytes, kSegmentBytes));
+  }
+
+  std::uint64_t before = frames.Value();
+  auto wrote = api_.WriteFileGather(*handle, gather);
+  ASSERT_OK(wrote.status());
+  EXPECT_EQ(*wrote, payload.size());
+  EXPECT_EQ(frames.Value() - before, 1u);
+
+  ASSERT_OK(api_.SetFilePointer(*handle, 0, vfs::SeekOrigin::kBegin).status());
+  before = frames.Value();
+  auto got = api_.ReadFileScatter(*handle, scatter);
+  ASSERT_OK(got.status());
+  EXPECT_EQ(*got, payload.size());
+  EXPECT_EQ(frames.Value() - before, 1u);
+  EXPECT_EQ(back, payload);
+  ASSERT_OK(api_.CloseHandle(*handle));
+}
+
 }  // namespace
 }  // namespace afs

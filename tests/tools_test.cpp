@@ -1,11 +1,10 @@
 // afsctl CLI tests (AFSCTL_PATH injected by CMake) and assorted edge-case
-// coverage for host files and the shm channel.
+// coverage for host files.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 #include "afs.hpp"
-#include "ipc/shm_channel.hpp"
 #include "test_util.hpp"
 #include "util/prng.hpp"
 
@@ -245,26 +244,6 @@ TEST(HostFileEdgeTest, SeekBeforeStartFails) {
   EXPECT_FALSE(
       api.SetFilePointer(*handle, -1, vfs::SeekOrigin::kBegin).ok());
   ASSERT_OK(api.CloseHandle(*handle));
-}
-
-TEST(ShmChannelStressTest, MegabyteThroughTinyRing) {
-  ipc::ShmChannel channel(128);  // tiny ring: maximal wrap pressure
-  Prng prng(0x517E55);
-  Buffer payload(1 << 20);
-  prng.Fill(MutableByteSpan(payload));
-
-  std::thread writer([&] { ASSERT_OK(channel.Write(ByteSpan(payload))); });
-  Buffer received;
-  received.reserve(payload.size());
-  Buffer chunk(313);  // deliberately unaligned with the ring size
-  while (received.size() < payload.size()) {
-    auto n = channel.ReadSome(MutableByteSpan(chunk));
-    ASSERT_OK(n.status());
-    ASSERT_GT(*n, 0u);
-    received.insert(received.end(), chunk.begin(), chunk.begin() + *n);
-  }
-  writer.join();
-  EXPECT_EQ(received, payload);
 }
 
 }  // namespace

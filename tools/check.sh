@@ -18,6 +18,9 @@
 #                             # obs_test under TSan, plus the
 #                             # bench_obs_overhead <5% regression gate;
 #                             # see docs/OBSERVABILITY.md
+#   tools/check.sh multicore  # plain build on >=4 CPUs: the tsan-labelled
+#                             # suites plus the two log-writer tests, each
+#                             # repeated until failure up to 20 times
 #   tools/check.sh analyze    # repo-aware lints (tools/analyze/afs_lint.py):
 #                             # nonblocking contexts, swallowed Status,
 #                             # registry/doc cross-checks, guarded members;
@@ -165,6 +168,31 @@ run_obs() {
   echo "== obs: bench_obs_overhead (<5% budget)"
   ./build/bench/bench_obs_overhead
   echo "== obs: clean"
+}
+
+run_multicore() {
+  # Real parallelism, no sanitizer: a one-CPU host serializes every race
+  # these suites exist to provoke (cross-sentinel NamedMutex exclusion hid
+  # behind one CPU for five changes), so the lane refuses to run there.
+  local cpus
+  cpus=$(nproc)
+  if [ "$cpus" -lt 4 ]; then
+    echo "== multicore: needs >= 4 CPUs, this host has $cpus" >&2
+    return 1
+  fi
+  echo "== multicore: configuring (plain, $cpus CPUs)"
+  cmake -B build -S . >/dev/null
+  echo "== multicore: building"
+  cmake --build build -j "$JOBS" >/dev/null
+  echo "== multicore: tsan-labelled suites (until-fail:20)"
+  (cd build && ctest --output-on-failure -j "$JOBS" -L tsan \
+    --repeat until-fail:20)
+  echo "== multicore: log-writer tests (until-fail:20)"
+  (cd build &&
+    GTEST_FILTER='*LogConcurrentWriters*:*ConcurrentLogWriters*' \
+      ctest --output-on-failure -R '^(sentinels_test|multi_open_test)$' \
+        --repeat until-fail:20)
+  echo "== multicore: clean"
 }
 
 run_analyze() {
@@ -354,6 +382,7 @@ case "$STAGE" in
   recovery) run_recovery ;;
   cache) run_cache ;;
   obs) run_obs ;;
+  multicore) run_multicore ;;
   analyze) run_analyze ;;
   soak) run_soak ;;
   bench-smoke) run_bench_smoke ;;
@@ -375,7 +404,7 @@ case "$STAGE" in
     exit "$ANY_FAILED"
     ;;
   *)
-    echo "usage: tools/check.sh [tidy|asan|tsan|fault|recovery|obs|analyze|soak|bench-smoke|all]" >&2
+    echo "usage: tools/check.sh [tidy|asan|tsan|fault|recovery|cache|obs|multicore|analyze|soak|bench-smoke|all]" >&2
     exit 2
     ;;
 esac
