@@ -103,22 +103,6 @@ void PipeLink::set_shm(std::shared_ptr<ipc::ShmRing> ring,
   shm_threshold_ = threshold;
 }
 
-void PipeLink::set_admission(AdmissionGate::Limits limits,
-                             OverloadPolicy policy) {
-  gate_ = std::make_unique<AdmissionGate>(limits);
-  overload_ = policy;
-}
-
-void PipeLink::ReleaseAdmission() {
-  std::size_t cost;
-  {
-    MutexLock lock(read_mu_);
-    cost = admitted_cost_;
-    admitted_cost_ = 0;
-  }
-  if (cost != 0 && gate_ != nullptr) gate_->Release(cost);
-}
-
 Status PipeLink::AF_SendControl(const ControlMessage& message) {
   AFS_FAULT_POINT("core.link.send");
   // Outbound legs are bounded by the op deadline when configured, by the
@@ -126,16 +110,6 @@ Status PipeLink::AF_SendControl(const ControlMessage& message) {
   // control pipe costs this op kTimeout, never a parked application.
   const Micros bound =
       response_timeout_.count() > 0 ? response_timeout_ : kPipeIoTimeout;
-  // Admission precedes every wire byte: a shed op fails with kOverloaded
-  // while the command/response stream is still synchronized, so the handle
-  // survives to retry it.  Teardown ops are exempt — a shed close leaks.
-  if (gate_ != nullptr && !AdmissionExempt(message.op)) {
-    const std::size_t cost = ControlMessageCost(message);
-    AFS_RETURN_IF_ERROR(
-        AdmitWithPolicy(*gate_, cost, overload_, response_timeout_));
-    MutexLock lock(read_mu_);
-    admitted_cost_ = cost;
-  }
   // Bulk payloads at/above the threshold leave the pipes for the ring.
   const std::size_t out_len = OutboundPayloadSize(message);
   bool use_ring = ring_ != nullptr && out_len >= shm_threshold_ && out_len > 0;
@@ -146,7 +120,6 @@ Status PipeLink::AF_SendControl(const ControlMessage& message) {
     // op's bytes onto the pipes; shed refuses it before any byte moves.
     // (kBlock keeps the classic deadline-bounded ring write below.)
     if (overload_ == OverloadPolicy::kShed) {
-      ReleaseAdmission();
       overload_metrics::RecordShed(Micros{kRingShedHintMs * 1000});
       return OverloadedError("shm ring congested (slow consumer)",
                              kRingShedHintMs);
@@ -224,14 +197,6 @@ Status PipeLink::AdoptResponse(ControlResponse& response) {
 }
 
 Result<ControlResponse> PipeLink::AF_GetResponse() {
-  Result<ControlResponse> result = GetResponseInternal();
-  // The op leaves the admission domain with its response (or its failure);
-  // swap-to-zero makes this idempotent with the Shutdown backstop.
-  ReleaseAdmission();
-  return result;
-}
-
-Result<ControlResponse> PipeLink::GetResponseInternal() {
   AFS_FAULT_POINT("core.link.recv");
   MutexLock lock(read_mu_);
   if (pending_.has_value()) {
@@ -261,12 +226,11 @@ Result<ControlResponse> PipeLink::GetResponseInternal() {
     if (lease_) lease_->Renew();
     // A shm-lane answer drains its ring payload.
     AFS_RETURN_IF_ERROR(AdoptResponse(response));
-    // ... and carries the cache-lease grant (heartbeats included: they are
-    // how a recall reaches a client whose next op is still in this wait).
-    if (cache_channel_) cache_channel_->Observe(response);
-    // Heartbeats only renew the lease; keep waiting (against the same
-    // overall deadline) for the real answer.
     if (!response.heartbeat) return response;
+    // A heartbeat renews the lease and carries the cache-lease grant (it is
+    // how a recall reaches a client whose next op is still in this wait);
+    // keep waiting, against the same overall deadline, for the answer.
+    if (cache_channel_) cache_channel_->Observe(response);
   }
 }
 
@@ -285,16 +249,18 @@ void PipeLink::PollHeartbeats() {
     // frame.  On failure the channel is desynchronized — stop draining and
     // let the waiting op time out / the lease expire.
     if (!AdoptResponse(*response).ok()) break;
-    // The push half of the recall protocol: an idle client learns about a
-    // recall from the heartbeat frames this drain consumes.
-    if (cache_channel_) cache_channel_->Observe(*response);
-    if (!response->heartbeat) pending_ = std::move(*response);
+    if (!response->heartbeat) {
+      pending_ = std::move(*response);
+    } else if (cache_channel_) {
+      // The push half of the recall protocol: an idle client learns about
+      // a recall from the heartbeat frames this drain consumes.
+      cache_channel_->Observe(*response);
+    }
   }
   read_mu_.Unlock();
 }
 
 void PipeLink::Shutdown() {
-  ReleaseAdmission();  // an op abandoned mid-flight must not pin the gate
   // Taking the read lock fences out a concurrent heartbeat drain so the
   // descriptors are never closed under an in-flight poll.
   MutexLock lock(read_mu_);
@@ -391,35 +357,15 @@ Status PipeEndpoint::AF_SendResponse(const ControlResponse& response) {
   return Status::Ok();
 }
 
-Status ThreadRendezvous::AF_SendControl(const ControlMessage& message) {
-  AFS_FAULT_POINT("core.link.send");
-  // Admission precedes the slot: a shed op fails with kOverloaded without
-  // ever occupying the rendezvous, so the handle survives to retry it.
-  // (AdmitFor can wait, so the session mutex must not be held here.)
-  // Teardown ops are exempt — a shed close leaks.
-  std::size_t cost = 0;
-  if (gate_ != nullptr && !AdmissionExempt(message.op)) {
-    Micros block_bound{0};
-    {
-      MutexLock lock(mu_);
-      block_bound = response_timeout_;
-    }
-    cost = ControlMessageCost(message);
-    AFS_RETURN_IF_ERROR(AdmitWithPolicy(*gate_, cost, overload_, block_bound));
-  }
+Status MailboxSlot::Post(const ControlMessage& message) {
   MutexLock lock(mu_);
-  while (state_ != SlotState::kIdle && !shutdown_) {
-    // The sentinel thread frees the slot per command, and Shutdown() wakes
+  while (state_ != SlotState::kIdle && !closed_) {
+    // The sentinel side frees the slot per command, and Close() wakes
     // every waiter with kClosed when the supervisor declares it dead.
     // afs-lint: allow(nonblocking: bounded by the slot protocol + Shutdown)
     cv_.Wait(mu_);
   }
-  if (shutdown_) {
-    lock.Unlock();
-    if (cost != 0) gate_->Release(cost);
-    return ClosedError("rendezvous closed");
-  }
-  admitted_cost_ = cost;
+  if (closed_) return ClosedError("mailbox closed");
   message_ = message;  // inline lanes pass by reference (spans)
   state_ = SlotState::kCommand;
   lock.Unlock();
@@ -427,29 +373,33 @@ Status ThreadRendezvous::AF_SendControl(const ControlMessage& message) {
   return Status::Ok();
 }
 
-Result<ControlResponse> ThreadRendezvous::AF_GetResponse() {
-  AFS_FAULT_POINT("core.link.recv");
+void MailboxSlot::Unpost() {
+  {
+    MutexLock lock(mu_);
+    if (state_ == SlotState::kCommand) state_ = SlotState::kIdle;
+  }
+  cv_.NotifyAll();
+}
+
+Result<ControlResponse> MailboxSlot::Collect(Micros timeout) {
   MutexLock lock(mu_);
-  const bool bounded = response_timeout_.count() > 0;
+  const bool bounded = timeout.count() > 0;
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(response_timeout_.count());
-  while (state_ != SlotState::kResponse && !shutdown_) {
+                        std::chrono::microseconds(timeout.count());
+  while (state_ != SlotState::kResponse && !closed_) {
     if (!bounded) {
       // Unbounded only when the operator set op_timeout_ms=0 to opt out of
-      // deadlines; Shutdown() still wakes it with kClosed.
+      // deadlines; Close() still wakes it with kClosed.
       // afs-lint: allow(nonblocking: operator opted out of the deadline)
       cv_.Wait(mu_);
     } else if (!cv_.WaitUntil(mu_, deadline)) {
-      if (state_ == SlotState::kResponse || shutdown_) {
+      if (state_ == SlotState::kResponse || closed_) {
         break;  // answered (or closed) right at the wire
       }
-      return TimeoutError("sentinel thread did not respond");
+      return TimeoutError("sentinel did not respond in time");
     }
   }
-  // A posted response outranks shutdown: the sentinel loop answers and
-  // then exits (failed-open banner, injected fault), and that last answer
-  // must not be dropped.
-  if (state_ != SlotState::kResponse) return ClosedError("rendezvous closed");
+  if (state_ != SlotState::kResponse) return ClosedError("mailbox closed");
   ControlResponse response = std::move(response_);
   state_ = SlotState::kIdle;
   lock.Unlock();
@@ -457,29 +407,67 @@ Result<ControlResponse> ThreadRendezvous::AF_GetResponse() {
   return response;
 }
 
+Result<ControlMessage> MailboxSlot::Take(Micros wait) {
+  MutexLock lock(mu_);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(wait.count());
+  while (state_ != SlotState::kCommand && !closed_) {
+    if (!cv_.WaitUntil(mu_, deadline)) break;
+  }
+  if (closed_) return ClosedError("mailbox closed");
+  if (state_ != SlotState::kCommand) return TimeoutError("no command posted");
+  return message_;
+}
+
+bool MailboxSlot::Deliver(ControlResponse response, bool closing) {
+  {
+    MutexLock lock(mu_);
+    if (closed_) return false;
+    response_ = std::move(response);
+    state_ = SlotState::kResponse;
+    closed_ = closing;
+  }
+  cv_.NotifyAll();
+  return true;
+}
+
+void MailboxSlot::Close() {
+  {
+    MutexLock lock(mu_);
+    closed_ = true;
+  }
+  cv_.NotifyAll();
+}
+
+bool MailboxSlot::closed() {
+  MutexLock lock(mu_);
+  return closed_;
+}
+
+Status ThreadRendezvous::AF_SendControl(const ControlMessage& message) {
+  AFS_FAULT_POINT("core.link.send");
+  return slot_.Post(message);
+}
+
+Result<ControlResponse> ThreadRendezvous::AF_GetResponse() {
+  AFS_FAULT_POINT("core.link.recv");
+  return slot_.Collect(response_timeout_);
+}
+
 Result<ControlMessage> ThreadRendezvous::AF_GetControl() {
   AFS_FAULT_POINT("sentinel.endpoint.recv");
-  MutexLock lock(mu_);
-  while (state_ != SlotState::kCommand && !shutdown_) {
-    if (lease_ != nullptr && lease_interval_.count() > 0) {
-      // Idle renewal: the timed wakeup itself is the heartbeat — the lease
-      // stamp is the shared memory both sides agree on.
-      lease_->Renew();
-      (void)cv_.WaitUntil(mu_, std::chrono::steady_clock::now() +
-                                   std::chrono::microseconds(
-                                       lease_interval_.count()));
-    } else {
-      // Idle park point when no lease is installed (in-process tests);
-      // AF_SendControl and Shutdown() are the only writers and both notify.
-      // afs-lint: allow(nonblocking: idle park; both slot writers notify)
-      cv_.Wait(mu_);
-    }
+  const bool renew = lease_ != nullptr && lease_interval_.count() > 0;
+  while (true) {
+    // Idle renewal: the timed wakeup itself is the heartbeat — the lease
+    // stamp is the shared memory both sides agree on.  Without a lease the
+    // idle wait is still a chain of bounded slices.
+    if (renew) lease_->Renew();
+    Result<ControlMessage> message =
+        slot_.Take(renew ? lease_interval_ : kIdleWaitSlice);
+    if (message.status().code() == ErrorCode::kTimeout) continue;
+    if (message.ok() && lease_) lease_->Renew();
+    return message;
   }
-  if (shutdown_) return ClosedError("rendezvous closed");
-  if (lease_) lease_->Renew();
-  // The slot stays occupied (kCommand) while the sentinel works; the
-  // response transition frees it.
-  return message_;
 }
 
 Result<Buffer> ThreadRendezvous::AF_GetDataFromAppl(std::size_t length) {
@@ -491,61 +479,9 @@ Result<Buffer> ThreadRendezvous::AF_GetDataFromAppl(std::size_t length) {
 
 Status ThreadRendezvous::AF_SendResponse(const ControlResponse& response) {
   AFS_FAULT_POINT("sentinel.endpoint.send");
-  MutexLock lock(mu_);
-  if (shutdown_) {
-    lock.Unlock();
-    ReleaseAdmission();
-    return ClosedError("rendezvous closed");
-  }
   if (lease_) lease_->Renew();
-  response_ = response;
-  state_ = SlotState::kResponse;
-  lock.Unlock();
-  // The answered op leaves the admission domain here, not at consumption:
-  // the sentinel is free again even if the application is slow to collect.
-  ReleaseAdmission();
-  cv_.NotifyAll();
+  if (!slot_.Deliver(response)) return ClosedError("rendezvous closed");
   return Status::Ok();
-}
-
-void ThreadRendezvous::Shutdown() {
-  {
-    MutexLock lock(mu_);
-    shutdown_ = true;
-  }
-  ReleaseAdmission();  // an op abandoned mid-flight must not pin the gate
-  cv_.NotifyAll();
-}
-
-void ThreadRendezvous::ReleaseAdmission() {
-  std::size_t cost;
-  {
-    MutexLock lock(mu_);
-    cost = admitted_cost_;
-    admitted_cost_ = 0;
-  }
-  if (cost != 0 && gate_ != nullptr) gate_->Release(cost);
-}
-
-void ThreadRendezvous::set_admission(AdmissionGate::Limits limits,
-                                     OverloadPolicy policy) {
-  gate_ = std::make_unique<AdmissionGate>(limits);
-  overload_ = policy;
-}
-
-void ThreadRendezvous::set_response_timeout(Micros timeout) noexcept {
-  MutexLock lock(mu_);
-  response_timeout_ = timeout;
-}
-
-void ThreadRendezvous::set_lease(std::shared_ptr<Lease> lease,
-                                 Micros interval) {
-  MutexLock lock(mu_);
-  lease_ = std::move(lease);
-  lease_interval_ = interval;
-  lock.Unlock();
-  // Wake an idle sentinel thread so it picks up the timed-wait cadence.
-  cv_.NotifyAll();
 }
 
 }  // namespace afs::core

@@ -5,10 +5,14 @@
 //     Every operation costs kernel copies and two protection-domain
 //     crossings; that cost is the point of the Figure 6 comparison.
 //
-//   ThreadRendezvous — one in-process rendezvous slot guarded by a mutex
-//     and condition variables ("events and shared memory", Appendix A.3),
-//     the DLL-with-thread strategy.  Data moves through the inline lanes of
-//     ControlMessage, giving one user-level copy per transfer.
+//   MailboxSlot — the one-command mailbox the in-process strategies share
+//     ("events and shared memory", Appendix A.3).  ThreadRendezvous wraps
+//     it for the DLL-with-thread strategy; LoopSession (core/loop_host.hpp)
+//     holds one for the event-loop strategy.  Data moves through the inline
+//     lanes of ControlMessage, giving one user-level copy per transfer.
+//
+// Admission, the cache lease and the open banner are the command stub's
+// business (LinkHandle, core/strategies.cpp): a link only crosses.
 #pragma once
 
 #include <map>
@@ -86,8 +90,9 @@ class PipeLink final : public sentinel::SentinelLink {
   }
 
   // Installs the client-cache lease channel (docs/CACHING.md).  The link
-  // feeds every decoded frame — including idle heartbeats, which is how a
-  // sentinel-pushed recall reaches an idle client — into its Observe.
+  // feeds it the heartbeat frames, which never reach the stub: they are
+  // how a sentinel-pushed recall reaches an idle client.  The stub
+  // observes every real response itself.
   void set_cache_channel(std::shared_ptr<CacheLeaseChannel> channel) noexcept {
     cache_channel_ = std::move(channel);
   }
@@ -111,12 +116,6 @@ class PipeLink final : public sentinel::SentinelLink {
   // Configure before the link is shared.
   void set_shm(std::shared_ptr<ipc::ShmRing> ring, std::size_t threshold);
 
-  // Per-link admission budgets (docs/OVERLOAD.md): every op charges its
-  // cost before the control frame leaves; a shed op fails with kOverloaded
-  // before any byte hits the wire, so the stream stays usable.  Configure
-  // before the link is shared.
-  void set_admission(AdmissionGate::Limits limits, OverloadPolicy policy);
-
   // What a congested shm ring does to a bulk payload (docs/OVERLOAD.md):
   // kBrownout (the default) drops back to the pipe lane for this op,
   // kShed fails it with kOverloaded, kBlock keeps the classic bounded
@@ -129,10 +128,6 @@ class PipeLink final : public sentinel::SentinelLink {
   // response.payload otherwise.
   Status AdoptResponse(sentinel::ControlResponse& response)
       AFS_REQUIRES(read_mu_);
-
-  Result<sentinel::ControlResponse> GetResponseInternal() AFS_NONBLOCKING;
-
-  void ReleaseAdmission();
 
   // afs-lint: allow(guarded-member: fd table fixed at construction; read_mu_ serializes response readers)
   PipeLinkFds fds_;
@@ -147,17 +142,12 @@ class PipeLink final : public sentinel::SentinelLink {
   // afs-lint: allow(guarded-member: configured before the link is shared)
   std::size_t shm_threshold_ = 4096;
   // afs-lint: allow(guarded-member: configured before the link is shared)
-  std::unique_ptr<AdmissionGate> gate_;
-  // afs-lint: allow(guarded-member: configured before the link is shared)
   OverloadPolicy overload_ = OverloadPolicy::kBrownout;
 
   // Serializes readers of the response pipe: the application operation in
   // flight vs. the supervisor's heartbeat drain.
   Mutex read_mu_;
   std::optional<sentinel::ControlResponse> pending_ AFS_GUARDED_BY(read_mu_);
-  // Cost of the admitted op in flight; zero when none.  Swap-to-zero on
-  // release keeps the gate balanced when Shutdown races a response.
-  std::size_t admitted_cost_ AFS_GUARDED_BY(read_mu_) = 0;
   // Destination spans of the op in flight (inline_out / vec_out), stashed
   // at send so a shm-lane response scatters ring bytes straight into the
   // caller's buffers — the zero-extra-copy read path.
@@ -217,10 +207,50 @@ class PipeEndpoint final : public sentinel::SentinelEndpoint {
   std::uint8_t last_lane_ = 0;
 };
 
-// Both halves of the thread strategy's connection in one object.  The
-// application stub and the sentinel thread rendezvous on a single
-// in-flight command; ControlMessage's inline lanes pass application
-// buffers to the sentinel by reference.
+// The one-command mailbox between an application stub and an in-process
+// sentinel.  The application posts a command into the idle slot and waits
+// for the answer; the sentinel side takes the command and delivers the
+// response (kIdle -> kCommand -> kResponse -> kIdle).  Close() latches the
+// slot shut and wakes every waiter with kClosed, but a delivered response
+// outranks the latch: the failed-open banner and the close acknowledgement
+// arrive with the latch already set and must not be dropped.  Fault points
+// and lease renewal belong to the wrappers.
+class MailboxSlot {
+ public:
+  // Application side.  Waits for the slot to be idle, then posts `message`
+  // (its inline lanes pass application buffers by reference).
+  Status Post(const sentinel::ControlMessage& message);
+  // Takes back a posted command that nobody will serve.
+  void Unpost();
+  // Waits for the answer and frees the slot; kTimeout after `timeout`
+  // (non-positive waits forever), kClosed once latched with no answer.
+  Result<sentinel::ControlResponse> Collect(Micros timeout);
+
+  // Sentinel side.  The posted command, waiting at most `wait` for one
+  // (zero only looks): kTimeout when none came, kClosed once latched.  The
+  // slot stays occupied until Deliver.
+  Result<sentinel::ControlMessage> Take(Micros wait);
+  // Answers the taken command; `closing` also sets the latch.  False, with
+  // nothing delivered, when the latch is already set (the waiter is gone).
+  bool Deliver(sentinel::ControlResponse response, bool closing = false);
+
+  void Close();
+  bool closed();
+
+ private:
+  enum class SlotState : std::uint8_t { kIdle, kCommand, kResponse };
+
+  Mutex mu_;
+  CondVar cv_;
+  SlotState state_ AFS_GUARDED_BY(mu_) = SlotState::kIdle;
+  bool closed_ AFS_GUARDED_BY(mu_) = false;
+  sentinel::ControlMessage message_ AFS_GUARDED_BY(mu_);
+  sentinel::ControlResponse response_ AFS_GUARDED_BY(mu_);
+};
+
+// Both halves of the thread strategy's connection in one object: a
+// MailboxSlot between the application stub and the sentinel thread, plus
+// the link's fault points and the idle lease renewal.
 class ThreadRendezvous final : public sentinel::SentinelLink,
                                public sentinel::SentinelEndpoint {
  public:
@@ -240,47 +270,29 @@ class ThreadRendezvous final : public sentinel::SentinelLink,
       AFS_NONBLOCKING override;
 
   // Wakes both sides with kClosed; further traffic fails.
-  void Shutdown();
+  void Shutdown() { slot_.Close(); }
 
   // Bounds the application's AF_GetResponse wait; kTimeout when the
   // sentinel thread does not answer in time.  Non-positive waits forever.
-  void set_response_timeout(Micros timeout) noexcept;
+  // Configure before the sentinel thread starts.
+  void set_response_timeout(Micros timeout) noexcept {
+    response_timeout_ = timeout;
+  }
 
   // Installs the shared-memory lease the sentinel thread renews from
   // inside its waits (the in-process analogue of heartbeat frames).  The
   // thread wakes every `interval` while idle just to stamp the lease.
-  void set_lease(std::shared_ptr<Lease> lease, Micros interval);
-
-  // Per-link admission budgets (docs/OVERLOAD.md); configure before the
-  // sentinel thread starts.  A shed op fails with kOverloaded without
-  // touching the rendezvous slot, so the command stream stays usable.
-  void set_admission(AdmissionGate::Limits limits, OverloadPolicy policy);
+  // Configure before the sentinel thread starts.
+  void set_lease(std::shared_ptr<Lease> lease, Micros interval) {
+    lease_ = std::move(lease);
+    lease_interval_ = interval;
+  }
 
  private:
-  enum class SlotState { kIdle, kCommand, kResponse };
-
-  void ReleaseAdmission();
-
-  // afs-lint: allow(guarded-member: configured before the link is shared)
-  std::unique_ptr<AdmissionGate> gate_;
-  // afs-lint: allow(guarded-member: configured before the link is shared)
-  OverloadPolicy overload_ = OverloadPolicy::kShed;
-
-  Mutex mu_;
-  CondVar cv_;
-  SlotState state_ AFS_GUARDED_BY(mu_) = SlotState::kIdle;
-  // Shutdown is a flag, not a slot state: a response already posted when
-  // Shutdown() lands (the failed-open banner) must still reach the
-  // application before AF_GetResponse starts reporting kClosed.
-  bool shutdown_ AFS_GUARDED_BY(mu_) = false;
-  Micros response_timeout_ AFS_GUARDED_BY(mu_){0};
-  std::shared_ptr<Lease> lease_ AFS_GUARDED_BY(mu_);
-  Micros lease_interval_ AFS_GUARDED_BY(mu_){0};
-  // Cost of the admitted op in flight; zero when none (swap-to-zero
-  // release keeps the gate balanced when Shutdown races a response).
-  std::size_t admitted_cost_ AFS_GUARDED_BY(mu_) = 0;
-  sentinel::ControlMessage message_ AFS_GUARDED_BY(mu_);
-  sentinel::ControlResponse response_ AFS_GUARDED_BY(mu_);
+  MailboxSlot slot_;
+  Micros response_timeout_{0};
+  std::shared_ptr<Lease> lease_;
+  Micros lease_interval_{0};
 };
 
 }  // namespace afs::core

@@ -1,12 +1,12 @@
 // Event-loop sentinel host: many sentinels per process, one shard thread
 // per event loop, no per-session descriptors.
 //
-// A LoopSession is the loop-strategy sibling of ThreadRendezvous: the
-// application side posts one in-flight command into a mailbox slot and
-// parks in AF_GetResponse; instead of a dedicated sentinel thread waking
-// on a condition variable, the command is posted onto the session's shard
-// (core/event_loop.hpp), whose loop thread services it through
-// sentinel::PerformControlOp and delivers the response back into the slot.
+// A LoopSession is the loop-strategy sibling of ThreadRendezvous: both
+// hold a MailboxSlot (core/links.hpp) that the application posts its one
+// in-flight command into.  Instead of a dedicated sentinel thread taking
+// it, the session rings its shard's doorbell (core/event_loop.hpp); the
+// shard's loop thread services the command through
+// sentinel::PerformControlOp and delivers the response into the slot.
 // The shard's run queue is the data plane: one eventfd doorbell per shard,
 // batched drains, and the inline ControlMessage lanes carrying payloads by
 // reference — which is how ≥100k concurrent handles fit under an ordinary
@@ -20,11 +20,12 @@
 // cache state is lost — exactly the crash shape the recovery layer replays.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
-#include "common/mutex.hpp"
 #include "core/event_loop.hpp"
+#include "core/links.hpp"
 #include "core/overload.hpp"
 #include "core/strategies.hpp"
 #include "sentinel/endpoint.hpp"
@@ -58,24 +59,19 @@ class LoopSession final : public sentinel::SentinelLink,
   // complete, mirroring the dispatch loop's application-vanished path.
   void Shutdown();
 
+  // The shard this session lives on (LoopHost::ShardGate's index).
+  std::size_t shard_index() const noexcept { return shard_index_; }
+
  private:
   friend class LoopHost;
 
-  enum class SlotState : std::uint8_t { kIdle, kCommand, kResponse };
-  enum class Release : std::uint8_t { kImplicitClose, kCrash };
+  // kImplicitClose runs OnClose and the cache writeback first; kDrop drops
+  // the sentinel without them (crash semantics, or nothing left to do).
+  enum class Release : std::uint8_t { kImplicitClose, kDrop };
 
-  LoopSession(EventLoop& shard, std::unique_ptr<sentinel::Sentinel> sent,
+  LoopSession(EventLoop& shard, std::size_t shard_index,
+              std::unique_ptr<sentinel::Sentinel> sent,
               sentinel::SentinelContext ctx, CacheAssembly cache);
-
-  void set_response_timeout(Micros timeout);
-  void set_lease(std::shared_ptr<Lease> lease, Micros interval);
-
-  // Admission wiring (docs/OVERLOAD.md): the shared per-shard gate plus
-  // optional per-link budgets from the spec (admit_bps/admit_burst/
-  // admit_inflight).  Configured before the session is shared.
-  void set_admission(AdmissionGate* shard_gate,
-                     const AdmissionGate::Limits& link_limits,
-                     OverloadPolicy policy);
 
   // Loop-thread entries.
   void ServiceOpen();
@@ -84,54 +80,32 @@ class LoopSession final : public sentinel::SentinelLink,
   void HeartbeatTick();
   void ArmHeartbeat();
 
-  // Admission bracket around one serviced command.  Admit charges the
-  // link gate then the shard gate; Release undoes both exactly once
-  // (swap-to-zero under mu_), however the op ends.
-  Status AdmitOp(std::size_t cost) AFS_NONBLOCKING;
-  void ReleaseAdmission();
-
-  // Posts `response` into the mailbox slot; `closing` latches the session
-  // shut (a posted response still outranks the latch, so the close
-  // acknowledgement is never dropped).
-  void Deliver(sentinel::ControlResponse response, bool closing);
+  // Application side: latches the slot shut and posts the one release of
+  // the loop-side state.
+  void PostRelease(Release how);
+  // Loop thread: drops the sentinel state now (no OnClose, no writeback).
+  void Drop();
 
   EventLoop& shard_;
+  const std::size_t shard_index_;
 
   // Loop-thread-confined sentinel state (only ServiceOpen/Service/
   // ReleaseLoopState touch these, all on the shard thread).
-  // afs-lint: allow(guarded-member: shard-thread confined; see class comment)
   std::unique_ptr<sentinel::Sentinel> sentinel_;
-  // afs-lint: allow(guarded-member: shard-thread confined; see class comment)
   sentinel::SentinelContext ctx_;
-  // afs-lint: allow(guarded-member: shard-thread confined; see class comment)
   CacheAssembly cache_;
-  // afs-lint: allow(guarded-member: shard-thread confined; see class comment)
   bool opened_ = false;
-  // afs-lint: allow(guarded-member: shard-thread confined; see class comment)
   bool released_ = false;
 
   // Configured before the session is shared (LoopHost::Open).
-  // afs-lint: allow(guarded-member: configured before the session is shared)
+  Micros response_timeout_{0};
   std::shared_ptr<Lease> lease_;
-  // afs-lint: allow(guarded-member: configured before the session is shared)
   Micros heartbeat_interval_{0};
-  // afs-lint: allow(guarded-member: configured before the session is shared)
-  AdmissionGate* shard_gate_ = nullptr;  // owned by LoopHost; outlives us
-  // afs-lint: allow(guarded-member: configured before the session is shared)
-  std::unique_ptr<AdmissionGate> link_gate_;
-  // afs-lint: allow(guarded-member: configured before the session is shared)
-  OverloadPolicy overload_ = OverloadPolicy::kShed;
 
-  Mutex mu_;
-  CondVar cv_;
-  SlotState state_ AFS_GUARDED_BY(mu_) = SlotState::kIdle;
-  bool closed_ AFS_GUARDED_BY(mu_) = false;
-  bool release_posted_ AFS_GUARDED_BY(mu_) = false;
-  Micros response_timeout_ AFS_GUARDED_BY(mu_){0};
-  // Cost of the admitted command in flight; zero when none.
-  std::size_t admitted_cost_ AFS_GUARDED_BY(mu_) = 0;
-  sentinel::ControlMessage message_ AFS_GUARDED_BY(mu_);
-  sentinel::ControlResponse response_ AFS_GUARDED_BY(mu_);
+  // Set by whichever path first takes charge of releasing the loop-side
+  // state, so it is released once.
+  std::atomic<bool> release_posted_{false};
+  MailboxSlot slot_;
 };
 
 // The process-wide shard pool hosting loop-strategy sessions.  Sized by
@@ -156,9 +130,7 @@ class LoopHost {
   Result<std::shared_ptr<LoopSession>> Open(
       std::unique_ptr<sentinel::Sentinel> sent, sentinel::SentinelContext ctx,
       CacheAssembly cache, int shard_pin, Micros response_timeout,
-      Micros heartbeat_interval, std::shared_ptr<Lease> lease,
-      const AdmissionGate::Limits& link_limits = {},
-      OverloadPolicy overload = OverloadPolicy::kShed);
+      Micros heartbeat_interval, std::shared_ptr<Lease> lease);
 
   // The admission gate guarding shard `index`'s run queue (budgets from
   // AFS_LOOP_MAX_QUEUE_BYTES / AFS_LOOP_MAX_INFLIGHT; docs/OVERLOAD.md).

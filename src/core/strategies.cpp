@@ -1,5 +1,6 @@
 #include "core/strategies.hpp"
 
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -121,12 +122,13 @@ Micros OpTimeout(const OpenRequest& request) {
   return ms > 0 ? Micros{ms * 1000} : Micros{0};
 }
 
-// The spec's overload policy (docs/OVERLOAD.md): how this link behaves at
-// a saturated queueing point.  kShed is the admission default; the shm
-// ring lane separately defaults to kBrownout (pipes stay available).
-Result<OverloadPolicy> SpecOverloadPolicy(const OpenRequest& request,
-                                          OverloadPolicy fallback) {
-  return OverloadPolicyFromSpec(request.spec.config, fallback);
+// The per-link admission gate built from the spec's admit_* budgets
+// (docs/OVERLOAD.md); null when none of them bounds anything.
+std::unique_ptr<AdmissionGate> LinkGate(const OpenRequest& request) {
+  const AdmissionGate::Limits limits =
+      AdmissionLimitsFromSpec(request.spec.config);
+  if (!AdmissionConfigured(limits)) return nullptr;
+  return std::make_unique<AdmissionGate>(limits);
 }
 
 // Bound on one shm-ring stream leg (mirrors the pipe bound in links.cpp):
@@ -183,17 +185,24 @@ SentinelContext BuildContext(const OpenRequest& request,
 }
 
 // ---------------------------------------------------------------------
-// Stub for the command strategies (process-plus-control and thread): a
-// FileHandle whose every operation becomes a control message.
+// Stub for the command strategies (process-plus-control, thread and loop):
+// a FileHandle whose every operation becomes a control message.  Everything
+// but the crossing lives here, once: admission, the cache lease, tracing
+// and poisoning.  `shard_gate` is the loop session's shard gate (null for
+// the other strategies).
 class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
  public:
   LinkHandle(sentinel::SentinelLink* link, std::shared_ptr<void> keepalive,
-             std::function<void()> cleanup,
-             std::shared_ptr<CacheLeaseChannel> cache_channel = nullptr)
+             std::function<void()> cleanup, const OpenRequest& request,
+             OverloadPolicy policy, AdmissionGate* shard_gate)
       : link_(link),
         keepalive_(std::move(keepalive)),
-        cleanup_(std::move(cleanup)),
-        cache_channel_(std::move(cache_channel)) {}
+        cache_channel_(request.cache_channel),
+        link_gate_(LinkGate(request)),
+        gates_{link_gate_.get(), shard_gate},
+        policy_(policy),
+        deadline_(OpTimeout(request)),
+        cleanup_(std::move(cleanup)) {}
 
   ~LinkHandle() override {
     MutexLock lock(mu_);
@@ -350,11 +359,48 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
       // Lease request / recall ack ride the message's cache flags.
       msg.cache_flags = cache_channel_->OutgoingFlags();
     }
+    // Admission precedes the crossing: a shed op fails with kOverloaded
+    // while the command/response stream is still synchronized, so the
+    // handle survives to retry it.  Teardown ops are exempt — a shed close
+    // leaks.  The charge is released once, when the exchange returns,
+    // however it ends (answer, shed, timeout, poison, kClosed).
+    if (AdmissionExempt(msg.op)) return Exchange(msg);
+    const std::size_t cost = ControlMessageCost(msg);
+    AFS_RETURN_IF_ERROR(Admit(cost));
+    Result<ControlResponse> resp = Exchange(msg);
+    Release(cost, gates_.size());
+    return resp;
+  }
+
+  // Charges `cost` to every gate in order; a shed gives the charge back to
+  // the gates already passed and fails the op with the shed status.
+  Status Admit(std::size_t cost) AFS_REQUIRES(mu_) {
+    for (std::size_t i = 0; i < gates_.size(); ++i) {
+      if (gates_[i] == nullptr) continue;
+      Status admitted = AdmitWithPolicy(*gates_[i], cost, policy_, deadline_);
+      if (!admitted.ok()) {
+        Release(cost, i);
+        return admitted;
+      }
+    }
+    return Status::Ok();
+  }
+
+  // Returns `cost` to the first `count` gates.
+  void Release(std::size_t cost, std::size_t count) AFS_REQUIRES(mu_) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (gates_[i] != nullptr) gates_[i]->Release(cost);
+    }
+  }
+
+  // The crossing itself: the link carries the command and its answer.
+  Result<ControlResponse> Exchange(const ControlMessage& msg)
+      AFS_NONBLOCKING AFS_REQUIRES(mu_) {
     Status sent = link_->AF_SendControl(msg);
     if (sent.code() == ErrorCode::kOverloaded) {
-      // Shed before any frame left the link: the command/response stream
-      // is still synchronized, so the handle stays usable — kOverloaded is
-      // retryable (after the carried hint), never poisonous.
+      // The link shed the op before anything crossed (congested ring, full
+      // shard queue): the stream is still synchronized, so the handle stays
+      // usable — kOverloaded is retryable, never poisonous.
       return sent;
     }
     if (!sent.ok()) return Poison(std::move(sent));
@@ -428,6 +474,12 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
   std::shared_ptr<void> keepalive_;
   // afs-lint: allow(guarded-member: set at construction; the channel is internally lock-free)
   const std::shared_ptr<CacheLeaseChannel> cache_channel_;
+  // Admission (docs/OVERLOAD.md): the per-link gate from the spec's admit_*
+  // budgets, then the loop's shard gate; either may be null.
+  const std::unique_ptr<AdmissionGate> link_gate_;
+  const std::array<AdmissionGate*, 2> gates_;
+  const OverloadPolicy policy_;
+  const Micros deadline_;  // the op deadline; also bounds a kBlock wait
   std::function<void()> cleanup_ AFS_GUARDED_BY(mu_);
   bool closed_ AFS_GUARDED_BY(mu_) = false;
   bool poisoned_ AFS_GUARDED_BY(mu_) = false;
@@ -660,6 +712,38 @@ class ProcessHandle final : public vfs::FileHandle {
 
 // ---------------------------------------------------------------------
 
+// The open epilogue of every command strategy: wraps `link` in its stub
+// and waits for the open banner, whose status (OnOpen's) decides whether
+// the open succeeds.  A failed open tears the connection down without the
+// close protocol (the sentinel loop has already exited).  The banner also
+// carries the sentinel's open-time grant, so a caching client holds its
+// lease before the first data op; `banner_out`, when set, receives it.
+Result<std::unique_ptr<vfs::FileHandle>> OpenLinkHandle(
+    const OpenRequest& request, sentinel::SentinelLink* link,
+    std::shared_ptr<void> keepalive, std::function<void()> cleanup,
+    AdmissionGate* shard_gate = nullptr,
+    ControlResponse* banner_out = nullptr) {
+  Result<OverloadPolicy> policy =
+      OverloadPolicyFromSpec(request.spec.config, OverloadPolicy::kShed);
+  if (!policy.ok()) {
+    cleanup();
+    return policy.status();
+  }
+  auto handle = std::make_unique<LinkHandle>(link, std::move(keepalive),
+                                             std::move(cleanup), request,
+                                             *policy, shard_gate);
+  Result<ControlResponse> banner = link->AF_GetResponse();
+  if (!banner.ok() || !banner->status.ok()) {
+    handle->Abort();
+    return banner.ok() ? banner->status : banner.status();
+  }
+  if (request.cache_channel != nullptr) {
+    request.cache_channel->Observe(*banner);
+  }
+  if (banner_out != nullptr) *banner_out = std::move(*banner);
+  return std::unique_ptr<vfs::FileHandle>(std::move(handle));
+}
+
 Result<std::unique_ptr<vfs::FileHandle>> OpenDirect(
     const sentinel::SentinelRegistry& registry, const OpenRequest& request) {
   AFS_ASSIGN_OR_RETURN(CacheAssembly cache,
@@ -691,17 +775,6 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenThread(
   res->ctx = BuildContext(request, res->cache);
 
   res->rendezvous.set_response_timeout(OpTimeout(request));
-  {
-    // Per-link admission (docs/OVERLOAD.md): ops charge the gate before
-    // touching the rendezvous slot; saturation sheds with kOverloaded.
-    AFS_ASSIGN_OR_RETURN(OverloadPolicy policy,
-                         SpecOverloadPolicy(request, OverloadPolicy::kShed));
-    const AdmissionGate::Limits admit =
-        AdmissionLimitsFromSpec(request.spec.config);
-    if (AdmissionConfigured(admit)) {
-      res->rendezvous.set_admission(admit, policy);
-    }
-  }
   if (probe != nullptr && request.heartbeat_interval.count() > 0) {
     // In-process lease: the sentinel thread stamps shared memory from
     // inside its waits — no frames involved.
@@ -729,21 +802,7 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenThread(
     res->rendezvous.Shutdown();
     if (res->worker.joinable()) res->worker.join();
   };
-  auto handle = std::make_unique<LinkHandle>(&res->rendezvous, res, cleanup,
-                                             request.cache_channel);
-
-  // Open banner: OnOpen's status decides whether the open succeeds.
-  Result<ControlResponse> banner = res->rendezvous.AF_GetResponse();
-  if (!banner.ok() || !banner->status.ok()) {
-    handle->Abort();
-    return banner.ok() ? banner->status : banner.status();
-  }
-  if (request.cache_channel != nullptr) {
-    // The banner carries the sentinel's open-time grant, so a caching
-    // client holds its lease before the first data op.
-    request.cache_channel->Observe(*banner);
-  }
-  return std::unique_ptr<vfs::FileHandle>(std::move(handle));
+  return OpenLinkHandle(request, &res->rendezvous, res, cleanup);
 }
 
 // Event-loop strategy: the sentinel is neither a process nor a dedicated
@@ -772,38 +831,21 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenLoop(
     lease = std::make_shared<Lease>();
   }
 
-  // Admission (docs/OVERLOAD.md): every command charges the shard's gate
-  // (shared with its co-tenants) and, when the spec bounds this link, a
-  // per-link gate on top.
-  AFS_ASSIGN_OR_RETURN(OverloadPolicy overload,
-                       SpecOverloadPolicy(request, OverloadPolicy::kShed));
-
+  LoopHost& host = LoopHost::Global();
   AFS_ASSIGN_OR_RETURN(
       std::shared_ptr<LoopSession> session,
-      LoopHost::Global().Open(std::move(sent), std::move(ctx),
-                              std::move(cache), shard_pin, OpTimeout(request),
-                              request.heartbeat_interval, lease,
-                              AdmissionLimitsFromSpec(request.spec.config),
-                              overload));
+      host.Open(std::move(sent), std::move(ctx), std::move(cache), shard_pin,
+                OpTimeout(request), request.heartbeat_interval, lease));
   if (probe != nullptr) {
     probe->lease = std::move(lease);
     probe->force_down = [session] { session->ForceDown(); };
   }
 
+  // Every command charges the shard's gate, shared with its co-tenants, on
+  // top of the per-link gate.
   auto cleanup = [session]() { session->Shutdown(); };
-  auto handle = std::make_unique<LinkHandle>(session.get(), session, cleanup,
-                                             request.cache_channel);
-
-  // Open banner: OnOpen's status decides whether the open succeeds.
-  Result<ControlResponse> banner = session->AF_GetResponse();
-  if (!banner.ok() || !banner->status.ok()) {
-    handle->Abort();
-    return banner.ok() ? banner->status : banner.status();
-  }
-  if (request.cache_channel != nullptr) {
-    request.cache_channel->Observe(*banner);
-  }
-  return std::unique_ptr<vfs::FileHandle>(std::move(handle));
+  return OpenLinkHandle(request, session.get(), session, cleanup,
+                        &host.ShardGate(session->shard_index()));
 }
 
 // The "exec" config key switches the process strategies to the paper's
@@ -828,27 +870,21 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
   res->link = std::make_unique<PipeLink>(std::move(pipes.first));
   res->link->set_response_timeout(OpTimeout(request));
 
-  // Overload handling (docs/OVERLOAD.md): the ring lane defaults to
-  // brownout (a congested ring reroutes bulk bytes onto the pipes); the
-  // spec's `overload` key switches the whole link to shed or block, and
-  // admit_* keys add per-link admission budgets.
-  AFS_ASSIGN_OR_RETURN(OverloadPolicy overload,
-                       SpecOverloadPolicy(request, OverloadPolicy::kBrownout));
+  // The ring lane defaults to brownout (docs/OVERLOAD.md): a congested
+  // ring reroutes bulk bytes onto the pipes.  The spec's `overload` key
+  // switches it to shed or block.
+  AFS_ASSIGN_OR_RETURN(
+      OverloadPolicy overload,
+      OverloadPolicyFromSpec(request.spec.config, OverloadPolicy::kBrownout));
   res->link->set_overload(overload);
-  const AdmissionGate::Limits admit =
-      AdmissionLimitsFromSpec(request.spec.config);
-  if (AdmissionConfigured(admit)) res->link->set_admission(admit, overload);
 
   std::shared_ptr<Lease> lease;
   if (probe != nullptr && request.heartbeat_interval.count() > 0) {
     lease = std::make_shared<Lease>();
     res->link->set_lease(lease);
   }
-  if (request.cache_channel != nullptr) {
-    // Heartbeat frames double as recall pushes; the link must feed them
-    // (not just op responses) into the channel.
-    res->link->set_cache_channel(request.cache_channel);
-  }
+  // Heartbeat frames double as recall pushes, and only the link sees them.
+  res->link->set_cache_channel(request.cache_channel);
 
   // Shared-memory bulk data plane (docs/SHM_DATA_PLANE.md): the
   // application creates the ring; the sentinel attaches via fork
@@ -938,24 +974,17 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
     res->link->Shutdown();
     (void)res->child->Shutdown();
   };
-  auto handle = std::make_unique<LinkHandle>(res->link.get(), res, cleanup,
-                                             request.cache_channel);
-
-  Result<ControlResponse> banner = res->link->AF_GetResponse();
-  if (!banner.ok() || !banner->status.ok()) {
-    handle->Abort();
-    return banner.ok() ? banner->status : banner.status();
-  }
-  if (ring && !banner->shm_ring) {
+  ControlResponse banner;
+  AFS_ASSIGN_OR_RETURN(
+      std::unique_ptr<vfs::FileHandle> handle,
+      OpenLinkHandle(request, res->link.get(), res, cleanup, nullptr, &banner));
+  if (ring && !banner.shm_ring) {
     // The sentinel could not attach the ring: every payload stays on the
     // pipes for this session.
     res->link->set_shm(nullptr, shm.threshold);
     CountShmFallback();
   }
-  if (request.cache_channel != nullptr) {
-    request.cache_channel->Observe(*banner);
-  }
-  return std::unique_ptr<vfs::FileHandle>(std::move(handle));
+  return handle;
 }
 
 // Fills the probe for a freshly spawned stream/exec sentinel child.  No

@@ -7,8 +7,9 @@
 //   read data         <--(response payload or inline_out)--
 //
 // Implementations: core::PipeLink/PipeEndpoint (three real pipes, the
-// process-plus-control strategy) and core::ThreadRendezvous (events +
-// shared memory, the DLL-with-thread strategy).
+// process-plus-control strategy), core::ThreadRendezvous (events +
+// shared memory, the DLL-with-thread strategy) and core::LoopSession (the
+// application side of the event-loop strategy).
 #pragma once
 
 #include "common/bytes.hpp"

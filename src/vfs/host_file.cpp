@@ -135,13 +135,18 @@ Result<std::size_t> HostFileHandle::ReadScatter(
   }
 }
 
+// Open-file-description locks (F_OFD_*): owned by this handle's
+// descriptor, so two handles on one file exclude each other even inside
+// one process, and closing one never drops the other's lock.  l_pid must
+// be 0.
 Status HostFileHandle::LockRange(std::uint64_t offset, std::uint64_t length) {
   struct flock fl {};
   fl.l_type = F_WRLCK;
   fl.l_whence = SEEK_SET;
   fl.l_start = static_cast<off_t>(offset);
   fl.l_len = static_cast<off_t>(length);
-  while (::fcntl(fd_, F_SETLKW, &fl) != 0) {
+  fl.l_pid = 0;
+  while (::fcntl(fd_, F_OFD_SETLKW, &fl) != 0) {
     if (errno == EINTR) continue;
     return Errno("lock");
   }
@@ -155,7 +160,8 @@ Status HostFileHandle::UnlockRange(std::uint64_t offset,
   fl.l_whence = SEEK_SET;
   fl.l_start = static_cast<off_t>(offset);
   fl.l_len = static_cast<off_t>(length);
-  if (::fcntl(fd_, F_SETLK, &fl) != 0) return Errno("unlock");
+  fl.l_pid = 0;
+  if (::fcntl(fd_, F_OFD_SETLK, &fl) != 0) return Errno("unlock");
   return Status::Ok();
 }
 

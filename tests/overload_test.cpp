@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "afs.hpp"
+#include "common/faultpoint.hpp"
 #include "core/overload.hpp"
 #include "net/http_server.hpp"
 #include "test_util.hpp"
@@ -244,7 +245,9 @@ TEST(RetryAfterTagTest, HintSurvivesTheStatusMessage) {
 // so the second op in a tight loop is deterministically shed with a
 // retry-after hint — and the handle keeps serving once the bucket refills
 // (sheds never poison).
-void RunRateLimitedStrategy(const char* strategy) {
+// `overload` null leaves the key out of the spec: admission then uses its
+// default, which is shed on every strategy.
+void RunRateLimitedStrategy(const char* strategy, const char* overload) {
   TempDir tmp;
   vfs::FileApi api(tmp.path() + "/root");
   sentinels::RegisterBuiltinSentinels();
@@ -256,7 +259,7 @@ void RunRateLimitedStrategy(const char* strategy) {
   spec.config["strategy"] = strategy;
   spec.config["admit_bps"] = "1000";
   spec.config["admit_burst"] = "128";  // one ~68-byte read, not two
-  spec.config["overload"] = "shed";
+  if (overload != nullptr) spec.config["overload"] = overload;
   const std::string name = std::string(strategy) + "-rate.af";
   ASSERT_OK(manager.CreateActiveFile(name, spec, AsBytes("0123456789abcdef")));
 
@@ -282,15 +285,81 @@ void RunRateLimitedStrategy(const char* strategy) {
 }
 
 TEST(StrategyAdmissionTest, ThreadLinkShedsOnRateBudget) {
-  RunRateLimitedStrategy("thread");
+  RunRateLimitedStrategy("thread", "shed");
+  RunRateLimitedStrategy("thread", nullptr);
 }
 
 TEST(StrategyAdmissionTest, LoopLinkShedsOnRateBudget) {
-  RunRateLimitedStrategy("loop");
+  RunRateLimitedStrategy("loop", "shed");
+  RunRateLimitedStrategy("loop", nullptr);
 }
 
 TEST(StrategyAdmissionTest, ProcessControlLinkShedsOnRateBudget) {
-  RunRateLimitedStrategy("process_control");
+  RunRateLimitedStrategy("process_control", "shed");
+  RunRateLimitedStrategy("process_control", nullptr);
+}
+
+// An admitted op is released exactly once, when its round trip returns —
+// also when it is abandoned mid-flight.  The sentinel stalls well past the
+// 50 ms op deadline, so the op fails with kTimeout and poisons the handle;
+// closing that handle must leave nothing charged on any gate, and a fresh
+// open of the same file must admit its first read.  The stalled op is a
+// size query: it references no application buffer the late answer could
+// still write into.
+void RunAbandonedOpReleasesItsAdmission(const char* strategy) {
+  TempDir tmp;
+  vfs::FileApi api(tmp.path() + "/root");
+  sentinels::RegisterBuiltinSentinels();
+  core::ActiveFileManager manager(api, sentinel::SentinelRegistry::Global());
+  manager.Install();
+
+  SentinelSpec spec;
+  spec.name = "null";
+  spec.config["strategy"] = strategy;
+  spec.config["admit_inflight"] = "1";
+  spec.config["op_timeout_ms"] = "50";
+  const std::string name = std::string(strategy) + "-abandon.af";
+  ASSERT_OK(manager.CreateActiveFile(name, spec, AsBytes("0123456789abcdef")));
+
+  obs::Gauge& queue_bytes =
+      obs::Registry::Global().GetGauge("core.overload.queue_bytes");
+  obs::Gauge& loop_sessions =
+      obs::Registry::Global().GetGauge("core.loop.sessions");
+  const std::int64_t bytes_before = queue_bytes.Value();
+  const std::int64_t sessions_before = loop_sessions.Value();
+  {
+    auto plan =
+        fault::ParsePlan("seed=1;sentinel.dispatch.op=delay:300ms@n1");
+    ASSERT_OK(plan.status());
+    fault::ScopedFaultPlan scoped(std::move(*plan));
+    auto handle = api.OpenFile(name, vfs::OpenMode::kReadWrite);
+    ASSERT_OK(handle.status());
+    EXPECT_STATUS_CODE(api.GetFileSize(*handle).status(), ErrorCode::kTimeout);
+    EXPECT_STATUS_CODE(api.GetFileSize(*handle).status(), ErrorCode::kClosed);
+    (void)api.CloseHandle(*handle);
+    EXPECT_EQ(queue_bytes.Value(), bytes_before);
+  }
+  // A loop shard is still serving the stalled op; let it wind the session
+  // down so the fresh open's banner is not queued behind the stall.
+  ASSERT_TRUE(test::PollUntil(
+      [&] { return loop_sessions.Value() <= sessions_before; }));
+  auto fresh = api.OpenFile(name, vfs::OpenMode::kReadWrite);
+  ASSERT_OK(fresh.status());
+  Buffer out(4);
+  EXPECT_OK(api.ReadFile(*fresh, MutableByteSpan(out)).status());
+  ASSERT_OK(api.CloseHandle(*fresh));
+}
+
+TEST(StrategyAdmissionTest, ThreadReleasesAnAbandonedOp) {
+  RunAbandonedOpReleasesItsAdmission("thread");
+}
+
+TEST(StrategyAdmissionTest, LoopReleasesAnAbandonedOp) {
+  RunAbandonedOpReleasesItsAdmission("loop");
+}
+
+TEST(StrategyAdmissionTest, ProcessControlReleasesAnAbandonedOp) {
+  RunAbandonedOpReleasesItsAdmission("process_control");
 }
 
 TEST(StrategyAdmissionTest, BlockPolicyRidesOutTheBudgetInsteadOfShedding) {

@@ -1,7 +1,8 @@
-// End-to-end tests of the four implementation strategies (paper Figure 4):
-// the same legacy-style file operations, served by a sentinel behind each
-// strategy, must behave identically — except where the paper itself says a
-// strategy cannot support an operation.
+// End-to-end tests of the implementation strategies: the paper's four
+// (Figure 4) plus the post-paper event-loop strategy.  The same
+// legacy-style file operations, served by a sentinel behind each strategy,
+// must behave identically — except where the paper itself says a strategy
+// cannot support an operation.
 #include <gtest/gtest.h>
 
 #include "afs.hpp"
@@ -91,7 +92,7 @@ TEST_P(StrategiesTest, MemoryCacheWritesBackAtClose) {
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, StrategiesTest,
     ::testing::Values(Strategy::kProcess, Strategy::kProcessControl,
-                      Strategy::kThread, Strategy::kDirect),
+                      Strategy::kThread, Strategy::kDirect, Strategy::kLoop),
     [](const ::testing::TestParamInfo<Strategy>& info) {
       return std::string(StrategyName(info.param));
     });
@@ -192,7 +193,7 @@ TEST_P(CommandStrategiesTest, UnknownSentinelFailsOpen) {
 INSTANTIATE_TEST_SUITE_P(
     CommandStrategies, CommandStrategiesTest,
     ::testing::Values(Strategy::kProcessControl, Strategy::kThread,
-                      Strategy::kDirect),
+                      Strategy::kDirect, Strategy::kLoop),
     [](const ::testing::TestParamInfo<Strategy>& info) {
       return std::string(StrategyName(info.param));
     });

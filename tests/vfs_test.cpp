@@ -2,6 +2,10 @@
 // the interception mechanism itself.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "test_util.hpp"
 #include "vfs/file_api.hpp"
 #include "vfs/paths.hpp"
@@ -168,6 +172,31 @@ TEST_F(FileApiTest, LockFileRange) {
   ASSERT_OK(api_.LockFileRange(*handle, 0, 5));
   ASSERT_OK(api_.UnlockFileRange(*handle, 0, 5));
   ASSERT_OK(api_.CloseHandle(*handle));
+}
+
+TEST_F(FileApiTest, RangeLocksExcludeHandlesWithinOneProcess) {
+  ASSERT_OK(api_.WriteWholeFile("shared.txt", AsBytes("0123456789")));
+  auto a = api_.OpenFile("shared.txt", OpenMode::kReadWrite);
+  auto b = api_.OpenFile("shared.txt", OpenMode::kReadWrite);
+  ASSERT_OK(a.status());
+  ASSERT_OK(b.status());
+  ASSERT_OK(api_.LockFileRange(*a, 0, 5));
+
+  // The lock belongs to handle A, not to the process: B waits for it.
+  std::atomic<bool> b_locked{false};
+  std::thread contender([&] {
+    EXPECT_OK(api_.LockFileRange(*b, 0, 5));
+    b_locked = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(b_locked.load());
+
+  ASSERT_OK(api_.UnlockFileRange(*a, 0, 5));
+  contender.join();
+  EXPECT_TRUE(b_locked.load());
+  ASSERT_OK(api_.UnlockFileRange(*b, 0, 5));
+  ASSERT_OK(api_.CloseHandle(*a));
+  ASSERT_OK(api_.CloseHandle(*b));
 }
 
 // ---- the interception mechanism ---------------------------------------
