@@ -80,7 +80,6 @@ struct OverloadColumn {
   std::int64_t shed = 0;
   std::int64_t other = 0;
   std::int64_t sheds_without_hint = 0;
-  std::int64_t brownouts = 0;
   double offered_per_sec = 0;
   double overload_factor = 0;
   std::int64_t admitted_p99_us = 0;
@@ -97,8 +96,6 @@ int OverloadMain() {
 
   obs::Gauge& queue_bytes =
       obs::Registry::Global().GetGauge("core.overload.queue_bytes");
-  obs::Counter& brownout_count =
-      obs::Registry::Global().GetCounter("core.overload.brownouts");
 
   std::vector<OverloadColumn> columns;
   bool failed = false;
@@ -134,7 +131,6 @@ int OverloadMain() {
     const bool is_shed_column = std::strcmp(policy, "shed") == 0;
     const int ops_per_thread =
         is_shed_column ? kOverloadOpsPerThread : kBrownoutOpsPerThread;
-    const std::int64_t brownouts_before = brownout_count.Value();
     std::atomic<std::int64_t> admitted{0}, shed{0}, other{0}, no_hint{0};
     std::vector<std::vector<std::int64_t>> latencies(
         static_cast<std::size_t>(kOverloadThreads));
@@ -180,7 +176,6 @@ int OverloadMain() {
     col.shed = shed.load();
     col.other = other.load();
     col.sheds_without_hint = no_hint.load();
-    col.brownouts = brownout_count.Value() - brownouts_before;
     const double total_ops =
         static_cast<double>(kOverloadThreads) * ops_per_thread;
     col.offered_per_sec = elapsed_s > 0 ? total_ops / elapsed_s : 0;
@@ -195,13 +190,13 @@ int OverloadMain() {
     }
     std::fprintf(stderr,
                  "bench_saturation: overload policy=%s admitted=%lld "
-                 "shed=%lld other=%lld no_hint=%lld brownouts=%lld "
+                 "shed=%lld other=%lld no_hint=%lld "
                  "offered=%.0f/s factor=%.1fx p99=%lldus\n",
                  policy, static_cast<long long>(col.admitted),
                  static_cast<long long>(col.shed),
                  static_cast<long long>(col.other),
                  static_cast<long long>(col.sheds_without_hint),
-                 static_cast<long long>(col.brownouts), col.offered_per_sec,
+                 col.offered_per_sec,
                  col.overload_factor,
                  static_cast<long long>(col.admitted_p99_us));
 
@@ -228,14 +223,14 @@ int OverloadMain() {
     const OverloadColumn& col = columns[i];
     std::printf("%s{\"policy\":\"%s\",\"admitted\":%lld,\"shed\":%lld,"
                 "\"other\":%lld,\"sheds_without_hint\":%lld,"
-                "\"brownouts\":%lld,\"offered_per_sec\":%.0f,"
+                "\"offered_per_sec\":%.0f,"
                 "\"overload_factor\":%.2f,\"admitted_p99_us\":%lld}",
                 i == 0 ? "" : ",", col.policy.c_str(),
                 static_cast<long long>(col.admitted),
                 static_cast<long long>(col.shed),
                 static_cast<long long>(col.other),
                 static_cast<long long>(col.sheds_without_hint),
-                static_cast<long long>(col.brownouts), col.offered_per_sec,
+                col.offered_per_sec,
                 col.overload_factor,
                 static_cast<long long>(col.admitted_p99_us));
   }

@@ -17,7 +17,8 @@ namespace {
 // Client cache granularity.  One block is also the unit the dirty budget
 // charges: a block's first dirtying Admit()s kBlockSize against the gate
 // and its flush Release()s it, so `cache_bytes` bounds un-flushed
-// write-behind exactly the way admit_queue_bytes bounds a link's queue.
+// write-behind exactly the way AFS_LOOP_MAX_QUEUE_BYTES bounds a loop
+// shard's queue.
 constexpr std::size_t kBlockSize = 4096;
 
 std::int64_t SteadyNowMicros() {
@@ -186,7 +187,7 @@ class CachedHandle final : public vfs::FileHandle, public ActiveHandle {
         channel_(std::move(channel)),
         options_(options),
         dirty_gate_(AdmissionGate::Limits{
-            /*max_queue_bytes=*/options.cache_bytes, /*max_inflight=*/0,
+            /*max_queue_bytes=*/options.cache_bytes,
             /*rate_bytes_per_second=*/0, /*burst_bytes=*/0}) {}
 
   ~CachedHandle() override = default;

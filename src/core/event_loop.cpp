@@ -137,25 +137,6 @@ void EventLoop::Post(std::function<void()> task) {
   Ring();
 }
 
-bool EventLoop::TryPost(std::function<void()> task) {
-  {
-    MutexLock lock(mu_);
-    if (stop_ && !running_.load()) return false;
-    if (options_.queue_limit != 0 && queue_.size() >= options_.queue_limit) {
-      return false;
-    }
-    queue_.push_back(std::move(task));
-  }
-  LoopMetrics::Global().queue_depth.Add(1);
-  Ring();
-  return true;
-}
-
-std::size_t EventLoop::queue_depth() const {
-  MutexLock lock(mu_);
-  return queue_.size();
-}
-
 std::uint64_t EventLoop::AddTimer(Micros delay, std::function<void()> fn) {
   const auto due = std::chrono::steady_clock::now() +
                    std::chrono::microseconds(std::max<std::int64_t>(

@@ -37,10 +37,6 @@ class EventLoop {
     // Posted tasks drained per wakeup before the loop re-checks readiness;
     // bounds the latency a burst can impose on timers and fd events.
     int batch_limit = 64;
-    // Backstop bound on the posted-task queue, enforced by TryPost only
-    // (Post always succeeds: teardown and release tasks must never drop).
-    // 0 = unlimited.  AFS_LOOP_QUEUE_LIMIT for the global pool.
-    std::size_t queue_limit = 0;
   };
 
   EventLoop() : EventLoop(Options{}) {}
@@ -62,15 +58,6 @@ class EventLoop {
   // bounded (mutex push + eventfd write); safe from any thread, including
   // the loop thread itself.
   void Post(std::function<void()> task) AFS_NONBLOCKING;
-
-  // Admission-checked Post: refuses (returns false, task not enqueued)
-  // when the posted-task queue already holds `queue_limit` tasks.  The
-  // admission layer (core/overload.hpp) sheds with kOverloaded on a false
-  // return; internal work keeps using Post.
-  bool TryPost(std::function<void()> task) AFS_NONBLOCKING;
-
-  // Posted-but-undrained task count (admission introspection).
-  std::size_t queue_depth() const AFS_NONBLOCKING;
 
   // Arms a one-shot timer `delay` from now; returns an id for CancelTimer.
   // Repeating cadences re-arm from inside their callback, which keeps a
@@ -110,8 +97,8 @@ class EventLoop {
   // afs-lint: allow(guarded-member: clamped at construction, constant afterwards)
   Options options_;
 
-  mutable Mutex mu_;
-  // afs-lint: allow(bounded-queue: Options::queue_limit backstop via TryPost; admission gates cap bytes upstream)
+  Mutex mu_;
+  // afs-lint: allow(bounded-queue: the admission gates (link rate, shard bytes) cap what reaches Post; one command per session slot)
   std::vector<std::function<void()>> queue_ AFS_GUARDED_BY(mu_);
   std::vector<Timer> timers_ AFS_GUARDED_BY(mu_);
   std::uint64_t next_timer_id_ AFS_GUARDED_BY(mu_) = 1;

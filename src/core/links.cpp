@@ -44,21 +44,6 @@ std::size_t OutboundPayloadSize(const ControlMessage& message) {
   return 0;
 }
 
-// Retry hint for an op shed off a congested shm ring: the reader has a
-// whole ring of buffered bytes to drain first, so the hint is coarser
-// than the admission default.
-constexpr std::int64_t kRingShedHintMs = 25;
-
-// A ring is congested when earlier bytes are still parked in it: the link
-// protocol runs one op at a time and the peer drains the lane fully per
-// op, so at send time a healthy ring is empty.  Payloads larger than the
-// whole ring stream through a draining reader and are exempt.
-bool RingCongested(const ipc::ShmRing& ring, int dir, std::size_t out_len) {
-  const std::size_t capacity = ring.ring_bytes();
-  const std::size_t free_bytes = capacity - ring.buffered(dir);
-  return free_bytes < std::min(out_len, capacity);
-}
-
 }  // namespace
 
 ShmConfig ParseShmConfig(const std::map<std::string, std::string>& config) {
@@ -112,21 +97,8 @@ Status PipeLink::AF_SendControl(const ControlMessage& message) {
       response_timeout_.count() > 0 ? response_timeout_ : kPipeIoTimeout;
   // Bulk payloads at/above the threshold leave the pipes for the ring.
   const std::size_t out_len = OutboundPayloadSize(message);
-  bool use_ring = ring_ != nullptr && out_len >= shm_threshold_ && out_len > 0;
-  if (use_ring && overload_ != OverloadPolicy::kBlock &&
-      RingCongested(*ring_, ipc::ShmRing::kToSentinel, out_len)) {
-    // Slow-consumer defense: the lane decision must precede the control
-    // frame, so a congested ring is handled here — brownout reroutes this
-    // op's bytes onto the pipes; shed refuses it before any byte moves.
-    // (kBlock keeps the classic deadline-bounded ring write below.)
-    if (overload_ == OverloadPolicy::kShed) {
-      overload_metrics::RecordShed(Micros{kRingShedHintMs * 1000});
-      return OverloadedError("shm ring congested (slow consumer)",
-                             kRingShedHintMs);
-    }
-    overload_metrics::RecordBrownout();
-    use_ring = false;
-  }
+  const bool use_ring =
+      ring_ != nullptr && out_len >= shm_threshold_ && out_len > 0;
   {
     // Stash the op's destination spans so a shm-lane response can scatter
     // ring bytes straight into the caller's buffers.
@@ -334,17 +306,9 @@ Status PipeEndpoint::AF_SendResponse(const ControlResponse& response) {
   AFS_FAULT_POINT("sentinel.endpoint.send");
   // Bulk response payloads ride the ring (frame carries only their length);
   // the application created the ring, so it can always drain the lane.
-  bool use_ring = ring_ != nullptr && !response.heartbeat &&
-                  response.payload.size() >= shm_threshold_ &&
-                  !response.payload.empty();
-  if (use_ring && overload_ != OverloadPolicy::kBlock &&
-      RingCongested(*ring_, ipc::ShmRing::kToApp, response.payload.size())) {
-    // Slow-consumer defense, response side: a response cannot be dropped,
-    // so shed degrades to brownout — the payload rides the frame instead
-    // of a ring whose reader stopped draining.
-    overload_metrics::RecordBrownout();
-    use_ring = false;
-  }
+  const bool use_ring = ring_ != nullptr && !response.heartbeat &&
+                        response.payload.size() >= shm_threshold_ &&
+                        !response.payload.empty();
   AFS_RETURN_IF_ERROR(ipc::WriteFrame(
       fds_.response_write,
       EncodeControlResponse(response, ring_ != nullptr,
@@ -371,14 +335,6 @@ Status MailboxSlot::Post(const ControlMessage& message) {
   lock.Unlock();
   cv_.NotifyAll();
   return Status::Ok();
-}
-
-void MailboxSlot::Unpost() {
-  {
-    MutexLock lock(mu_);
-    if (state_ == SlotState::kCommand) state_ = SlotState::kIdle;
-  }
-  cv_.NotifyAll();
 }
 
 Result<ControlResponse> MailboxSlot::Collect(Micros timeout) {

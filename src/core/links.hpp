@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/mutex.hpp"
-#include "core/overload.hpp"
 #include "ipc/pipe.hpp"
 #include "ipc/shm_ring.hpp"
 #include "sentinel/endpoint.hpp"
@@ -116,12 +115,6 @@ class PipeLink final : public sentinel::SentinelLink {
   // Configure before the link is shared.
   void set_shm(std::shared_ptr<ipc::ShmRing> ring, std::size_t threshold);
 
-  // What a congested shm ring does to a bulk payload (docs/OVERLOAD.md):
-  // kBrownout (the default) drops back to the pipe lane for this op,
-  // kShed fails it with kOverloaded, kBlock keeps the classic bounded
-  // ring write.  Configure before the link is shared.
-  void set_overload(OverloadPolicy policy) noexcept { overload_ = policy; }
-
  private:
   // For a shm-lane response, pulls its payload off the ring — into the
   // stashed destination spans of the op in flight when present, into
@@ -141,8 +134,6 @@ class PipeLink final : public sentinel::SentinelLink {
   std::shared_ptr<ipc::ShmRing> ring_;
   // afs-lint: allow(guarded-member: configured before the link is shared)
   std::size_t shm_threshold_ = 4096;
-  // afs-lint: allow(guarded-member: configured before the link is shared)
-  OverloadPolicy overload_ = OverloadPolicy::kBrownout;
 
   // Serializes readers of the response pipe: the application operation in
   // flight vs. the supervisor's heartbeat drain.
@@ -181,12 +172,6 @@ class PipeEndpoint final : public sentinel::SentinelEndpoint {
     shm_threshold_ = threshold;
   }
 
-  // Congested-ring behavior for response payloads (docs/OVERLOAD.md).  A
-  // response cannot be dropped, so kShed degrades to kBrownout here: the
-  // payload rides the response frame instead of the stalled ring.  kBlock
-  // keeps the classic bounded ring write.  Set before the loop starts.
-  void set_overload(OverloadPolicy policy) noexcept { overload_ = policy; }
-
   // Points at the sentinel context's CacheGrant so idle heartbeats carry
   // the current grant/recall state (docs/CACHING.md) — the push half of
   // the recall protocol.  The context must outlive the dispatch loop.
@@ -200,7 +185,6 @@ class PipeEndpoint final : public sentinel::SentinelEndpoint {
   Micros heartbeat_interval_{0};
   std::shared_ptr<ipc::ShmRing> ring_;
   std::size_t shm_threshold_ = 4096;
-  OverloadPolicy overload_ = OverloadPolicy::kBrownout;
   const sentinel::CacheGrant* cache_state_ = nullptr;
   // Lane byte of the command being served (single dispatch thread): tells
   // AF_GetDataFromAppl which lane carries the write payload.
@@ -220,8 +204,6 @@ class MailboxSlot {
   // Application side.  Waits for the slot to be idle, then posts `message`
   // (its inline lanes pass application buffers by reference).
   Status Post(const sentinel::ControlMessage& message);
-  // Takes back a posted command that nobody will serve.
-  void Unpost();
   // Waits for the answer and frees the slot; kTimeout after `timeout`
   // (non-positive waits forever), kClosed once latched with no answer.
   Result<sentinel::ControlResponse> Collect(Micros timeout);

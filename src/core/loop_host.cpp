@@ -74,20 +74,8 @@ Status LoopSession::AF_SendControl(const ControlMessage& message) {
   // session's shard, batched with every other ready session's commands.
   // Bound, not a lambda: Service() runs on the loop thread, and the member
   // pointer keeps its body out of this caller's non-blocking call graph.
-  if (!shard_.TryPost(std::bind(&LoopSession::Service, shared_from_this()))) {
-    if (!shard_.running()) {
-      // Loop already wound down: keep the legacy inline-teardown path.
-      shard_.Post(std::bind(&LoopSession::Service, shared_from_this()));
-      return Status::Ok();
-    }
-    // The shard's task-count backstop (AFS_LOOP_QUEUE_LIMIT) tripped:
-    // give the slot back and shed.  Nothing was posted, so the stream
-    // stays synchronized.
-    slot_.Unpost();
-    constexpr std::int64_t kQueueFullHintMs = 5;
-    overload_metrics::RecordShed(Micros{kQueueFullHintMs * 1000});
-    return OverloadedError("loop shard run queue full", kQueueFullHintMs);
-  }
+  // (Once the loop has stopped, Post runs the task inline.)
+  shard_.Post(std::bind(&LoopSession::Service, shared_from_this()));
   return Status::Ok();
 }
 
@@ -216,22 +204,18 @@ void LoopSession::ArmHeartbeat() {
 LoopHost& LoopHost::Global() {
   static LoopHost host(
       EnvInt("AFS_LOOP_SHARDS", 2),
-      EventLoop::Options{
-          EnvInt("AFS_LOOP_BATCH", 64),
-          static_cast<std::size_t>(EnvU64("AFS_LOOP_QUEUE_LIMIT", 0))});
+      EventLoop::Options{EnvInt("AFS_LOOP_BATCH", 64)});
   return host;
 }
 
 LoopHost::LoopHost(int shards, EventLoop::Options options)
     : pool_(shards, options) {
-  // Per-shard admission budgets (docs/OVERLOAD.md).  The default queue-byte
+  // Per-shard admission budget (docs/OVERLOAD.md).  The default queue-byte
   // budget is a backstop against runaway buffering, far above any healthy
-  // working set; 0 disables a budget entirely.
+  // working set; 0 disables it.
   AdmissionGate::Limits limits;
   limits.max_queue_bytes = static_cast<std::size_t>(
       EnvU64("AFS_LOOP_MAX_QUEUE_BYTES", std::uint64_t{256} << 20));
-  limits.max_inflight =
-      static_cast<int>(EnvU64("AFS_LOOP_MAX_INFLIGHT", 0));
   gates_.reserve(static_cast<std::size_t>(pool_.shard_count()));
   for (int i = 0; i < pool_.shard_count(); ++i) {
     gates_.push_back(std::make_unique<AdmissionGate>(limits));

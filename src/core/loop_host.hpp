@@ -109,7 +109,8 @@ class LoopSession final : public sentinel::SentinelLink,
 };
 
 // The process-wide shard pool hosting loop-strategy sessions.  Sized by
-// AFS_LOOP_SHARDS (default 2); per-wakeup batching by AFS_LOOP_BATCH.
+// AFS_LOOP_SHARDS (default 2); per-wakeup batching by AFS_LOOP_BATCH; one
+// admission gate per shard, budgeted by AFS_LOOP_MAX_QUEUE_BYTES.
 class LoopHost {
  public:
   // Lazily constructed, torn down (loops joined) at process exit.
@@ -132,8 +133,9 @@ class LoopHost {
       CacheAssembly cache, int shard_pin, Micros response_timeout,
       Micros heartbeat_interval, std::shared_ptr<Lease> lease);
 
-  // The admission gate guarding shard `index`'s run queue (budgets from
-  // AFS_LOOP_MAX_QUEUE_BYTES / AFS_LOOP_MAX_INFLIGHT; docs/OVERLOAD.md).
+  // The admission gate guarding shard `index`'s run queue: the byte budget
+  // from AFS_LOOP_MAX_QUEUE_BYTES, shared by the shard's co-tenants and
+  // charged by each session's command stub (docs/OVERLOAD.md).
   AdmissionGate& ShardGate(std::size_t index) { return *gates_[index]; }
 
  private:

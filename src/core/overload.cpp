@@ -24,6 +24,30 @@ std::uint64_t BurstFor(const AdmissionGate::Limits& limits) {
   return std::max<std::uint64_t>(limits.rate_bytes_per_second, 4096);
 }
 
+// Process-wide shed/admit accounting (core.overload.* in
+// docs/OBSERVABILITY.md).
+void RecordAdmitted() {
+  static obs::Counter& admitted =
+      obs::Registry::Global().GetCounter("core.overload.admitted");
+  admitted.Add(1);
+}
+
+void RecordShed(Micros retry_after) {
+  static obs::Counter& shed =
+      obs::Registry::Global().GetCounter("core.overload.shed");
+  static obs::Histogram& hint =
+      obs::Registry::Global().GetHistogram("core.overload.retry_after_ms");
+  shed.Add(1);
+  hint.Record(static_cast<std::uint64_t>(
+      std::max<std::int64_t>(retry_after.count() / 1000, 0)));
+}
+
+void AddQueueBytes(std::int64_t delta) {
+  static obs::Gauge& queue_bytes =
+      obs::Registry::Global().GetGauge("core.overload.queue_bytes");
+  queue_bytes.Add(delta);
+}
+
 }  // namespace
 
 AdmissionGate::Limits AdmissionLimitsFromSpec(
@@ -34,17 +58,13 @@ AdmissionGate::Limits AdmissionLimitsFromSpec(
     if (it == config.end()) return 0;
     return std::strtoull(it->second.c_str(), nullptr, 10);
   };
-  limits.max_queue_bytes = static_cast<std::size_t>(
-      parse("admit_queue_bytes"));
-  limits.max_inflight = static_cast<int>(parse("admit_inflight"));
   limits.rate_bytes_per_second = parse("admit_bps");
   limits.burst_bytes = parse("admit_burst");
   return limits;
 }
 
 bool AdmissionConfigured(const AdmissionGate::Limits& limits) noexcept {
-  return limits.max_queue_bytes != 0 || limits.max_inflight != 0 ||
-         limits.rate_bytes_per_second != 0;
+  return limits.max_queue_bytes != 0 || limits.rate_bytes_per_second != 0;
 }
 
 Status AdmitWithPolicy(AdmissionGate& gate, std::size_t cost,
@@ -68,7 +88,7 @@ Status AdmitWithPolicy(AdmissionGate& gate, std::size_t cost,
 std::size_t ControlMessageCost(const sentinel::ControlMessage& message)
     noexcept {
   // Fixed per-op overhead keeps zero-byte ops (seek, flush, lock) from
-  // admitting for free: an in-flight budget must see them too.
+  // admitting for free: a rate budget must see them too.
   constexpr std::size_t kMessageOverhead = 64;
   std::size_t bulk = message.inline_in.size();
   for (ByteSpan segment : message.vec_in) bulk += segment.size();
@@ -93,44 +113,11 @@ Result<OverloadPolicy> ParseOverloadPolicy(std::string_view name) {
 }
 
 Result<OverloadPolicy> OverloadPolicyFromSpec(
-    const std::map<std::string, std::string>& config,
-    OverloadPolicy fallback) {
+    const std::map<std::string, std::string>& config) {
   auto it = config.find("overload");
-  if (it == config.end()) return fallback;
+  if (it == config.end()) return OverloadPolicy::kShed;
   return ParseOverloadPolicy(it->second);
 }
-
-namespace overload_metrics {
-
-void RecordAdmitted() {
-  static obs::Counter& admitted =
-      obs::Registry::Global().GetCounter("core.overload.admitted");
-  admitted.Add(1);
-}
-
-void RecordShed(Micros retry_after) {
-  static obs::Counter& shed =
-      obs::Registry::Global().GetCounter("core.overload.shed");
-  static obs::Histogram& hint =
-      obs::Registry::Global().GetHistogram("core.overload.retry_after_ms");
-  shed.Add(1);
-  hint.Record(static_cast<std::uint64_t>(
-      std::max<std::int64_t>(retry_after.count() / 1000, 0)));
-}
-
-void RecordBrownout() {
-  static obs::Counter& brownouts =
-      obs::Registry::Global().GetCounter("core.overload.brownouts");
-  brownouts.Add(1);
-}
-
-void AddQueueBytes(std::int64_t delta) {
-  static obs::Gauge& queue_bytes =
-      obs::Registry::Global().GetGauge("core.overload.queue_bytes");
-  queue_bytes.Add(delta);
-}
-
-}  // namespace overload_metrics
 
 AdmissionGate::AdmissionGate(Limits limits)
     : limits_(limits),
@@ -139,9 +126,6 @@ AdmissionGate::AdmissionGate(Limits limits)
 
 Status AdmissionGate::TryAdmitLocked(std::size_t bytes, Micros* retry_after) {
   *retry_after = kDefaultRetryAfter;
-  if (limits_.max_inflight > 0 && inflight_ >= limits_.max_inflight) {
-    return OverloadedError("in-flight budget exhausted");
-  }
   if (limits_.max_queue_bytes > 0 &&
       queue_bytes_ + bytes > limits_.max_queue_bytes && queue_bytes_ > 0) {
     // An op larger than the whole budget still admits into an empty gate —
@@ -154,13 +138,11 @@ Status AdmissionGate::TryAdmitLocked(std::size_t bytes, Micros* retry_after) {
     return OverloadedError("admission rate exceeded");
   }
   queue_bytes_ += bytes;
-  ++inflight_;
   return Status::Ok();
 }
 
-Status AdmissionGate::ShedLocked(std::size_t bytes, Micros retry_after) {
-  (void)bytes;
-  overload_metrics::RecordShed(retry_after);
+Status AdmissionGate::ShedLocked(Micros retry_after) {
+  RecordShed(retry_after);
   const std::int64_t hint_ms =
       std::max<std::int64_t>(retry_after.count() / 1000, 1);
   return OverloadedError("admission shed", hint_ms);
@@ -171,10 +153,10 @@ Status AdmissionGate::Admit(std::size_t bytes) {
   Micros retry_after{0};
   Status admitted = TryAdmitLocked(bytes, &retry_after);
   if (!admitted.ok()) {
-    return ShedLocked(bytes, retry_after);
+    return ShedLocked(retry_after);
   }
-  overload_metrics::RecordAdmitted();
-  overload_metrics::AddQueueBytes(static_cast<std::int64_t>(bytes));
+  RecordAdmitted();
+  AddQueueBytes(static_cast<std::int64_t>(bytes));
   return Status::Ok();
 }
 
@@ -186,12 +168,12 @@ Status AdmissionGate::AdmitFor(std::size_t bytes, Micros timeout) {
   while (true) {
     Status admitted = TryAdmitLocked(bytes, &retry_after);
     if (admitted.ok()) {
-      overload_metrics::RecordAdmitted();
-      overload_metrics::AddQueueBytes(static_cast<std::int64_t>(bytes));
+      RecordAdmitted();
+      AddQueueBytes(static_cast<std::int64_t>(bytes));
       return Status::Ok();
     }
     const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return ShedLocked(bytes, retry_after);
+    if (now >= deadline) return ShedLocked(retry_after);
     const auto remaining =
         std::chrono::duration_cast<std::chrono::microseconds>(deadline - now);
     const auto slice = std::min<std::chrono::microseconds>(
@@ -204,20 +186,14 @@ void AdmissionGate::Release(std::size_t bytes) {
   {
     MutexLock lock(mu_);
     queue_bytes_ = bytes > queue_bytes_ ? 0 : queue_bytes_ - bytes;
-    if (inflight_ > 0) --inflight_;
   }
-  overload_metrics::AddQueueBytes(-static_cast<std::int64_t>(bytes));
+  AddQueueBytes(-static_cast<std::int64_t>(bytes));
   capacity_.NotifyAll();
 }
 
 std::size_t AdmissionGate::queue_bytes() const {
   MutexLock lock(mu_);
   return queue_bytes_;
-}
-
-int AdmissionGate::inflight() const {
-  MutexLock lock(mu_);
-  return inflight_;
 }
 
 }  // namespace afs::core

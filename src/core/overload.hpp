@@ -5,8 +5,10 @@
 // multiplexing many applications — and a shared host that queues without
 // bound converts "too much traffic" into ballooning memory, wedged shards,
 // and timeouts for everyone.  This module makes saturation a *handled*
-// state instead: each queueing domain (a loop shard, a rendezvous slot, a
-// link's bulk lane) owns an AdmissionGate; an op either gets capacity
+// state instead: the command stub (LinkHandle, core/strategies.cpp) admits
+// every op against its link's gate (the admit_* rate budget) and, on the
+// loop strategy, its shard's gate (the shard byte budget); the client
+// cache's dirty budget is a third gate.  An op either gets capacity
 // charged against the gate's budgets or is shed immediately with
 // kOverloaded and a retry-after hint the whole stack propagates
 // (docs/OVERLOAD.md).
@@ -28,9 +30,7 @@ namespace afs::core {
 // What a saturated queueing point does with the op that found it full
 // (the `overload=` spec key; docs/OVERLOAD.md):
 //   kShed     — fail fast with kOverloaded + retry-after (the default);
-//   kBrownout — degrade instead of queueing: bulk payloads leave the shm
-//               ring for pipes, admission sheds only after a short grace
-//               wait;
+//   kBrownout — admission sheds only after a short grace wait;
 //   kBlock    — classic backpressure: wait (bounded by the op deadline)
 //               for capacity, shedding only when the wait expires.
 enum class OverloadPolicy : std::uint8_t { kShed = 0, kBrownout = 1,
@@ -39,10 +39,10 @@ enum class OverloadPolicy : std::uint8_t { kShed = 0, kBrownout = 1,
 std::string_view OverloadPolicyName(OverloadPolicy policy) noexcept;
 Result<OverloadPolicy> ParseOverloadPolicy(std::string_view name);
 
-// Parses the `overload` spec key from a sentinel config; `fallback` when
-// the key is absent.
+// Parses the `overload` spec key from a sentinel config; kShed when the
+// key is absent.
 Result<OverloadPolicy> OverloadPolicyFromSpec(
-    const std::map<std::string, std::string>& config, OverloadPolicy fallback);
+    const std::map<std::string, std::string>& config);
 
 // One queueing domain's admission budgets.  Thread-safe; Admit/Release
 // pairs bracket an op's residence in the domain (queued + being served).
@@ -50,7 +50,6 @@ class AdmissionGate {
  public:
   struct Limits {
     std::size_t max_queue_bytes = 0;   // 0 = unlimited
-    int max_inflight = 0;              // 0 = unlimited
     std::uint64_t rate_bytes_per_second = 0;  // token bucket; 0 = unlimited
     std::uint64_t burst_bytes = 0;     // bucket depth; 0 = rate (min 4 KiB)
   };
@@ -63,32 +62,31 @@ class AdmissionGate {
   // the returned hint slot) means shed: nothing was charged.
   Status Admit(std::size_t bytes);
 
-  // Blocking variant for the kBlock policy: waits for byte/inflight
-  // capacity up to `timeout` before shedding.  Rate-limiter shortfalls
-  // also wait (in slices) while the bucket refills.
+  // Blocking variant for the kBlock policy: waits for byte capacity up to
+  // `timeout` before shedding.  Rate-limiter shortfalls also wait (in
+  // slices) while the bucket refills.
   Status AdmitFor(std::size_t bytes, Micros timeout);
 
   void Release(std::size_t bytes);
 
   std::size_t queue_bytes() const;
-  int inflight() const;
 
  private:
   Status TryAdmitLocked(std::size_t bytes, Micros* retry_after)
       AFS_REQUIRES(mu_);
-  Status ShedLocked(std::size_t bytes, Micros retry_after) AFS_REQUIRES(mu_);
+  Status ShedLocked(Micros retry_after) AFS_REQUIRES(mu_);
 
   const Limits limits_;
   mutable Mutex mu_;
   CondVar capacity_;           // signalled by Release
   RateLimiter limiter_ AFS_GUARDED_BY(mu_);  // rate 0 => pass-through
   std::size_t queue_bytes_ AFS_GUARDED_BY(mu_) = 0;
-  int inflight_ AFS_GUARDED_BY(mu_) = 0;
 };
 
 // Per-link admission budgets from the active-file spec (docs/OVERLOAD.md):
-// admit_queue_bytes, admit_inflight, admit_bps, admit_burst.  Absent keys
-// leave their budget unlimited.
+// the admit_bps/admit_burst token bucket.  An absent admit_bps leaves the
+// link unlimited.  (A stub holds one op at a time, so a queue-byte or
+// in-flight budget on its own link could never bind.)
 AdmissionGate::Limits AdmissionLimitsFromSpec(
     const std::map<std::string, std::string>& config);
 
@@ -114,14 +112,5 @@ std::size_t ControlMessageCost(const sentinel::ControlMessage& message)
 inline bool AdmissionExempt(sentinel::ControlOp op) noexcept {
   return op == sentinel::ControlOp::kClose;
 }
-
-// Process-wide shed/admit accounting (core.overload.* in
-// docs/OBSERVABILITY.md).  Call sites on hot paths cache the references.
-namespace overload_metrics {
-void RecordAdmitted();
-void RecordShed(Micros retry_after);
-void RecordBrownout();
-void AddQueueBytes(std::int64_t delta);
-}  // namespace overload_metrics
 
 }  // namespace afs::core

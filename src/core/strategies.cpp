@@ -359,11 +359,12 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
       // Lease request / recall ack ride the message's cache flags.
       msg.cache_flags = cache_channel_->OutgoingFlags();
     }
-    // Admission precedes the crossing: a shed op fails with kOverloaded
-    // while the command/response stream is still synchronized, so the
-    // handle survives to retry it.  Teardown ops are exempt — a shed close
+    // Admission precedes the crossing, and is the only place a command op
+    // is refused: a shed op fails with kOverloaded while the
+    // command/response stream is still synchronized, so the handle
+    // survives to retry it.  Teardown ops are exempt — a shed close
     // leaks.  The charge is released once, when the exchange returns,
-    // however it ends (answer, shed, timeout, poison, kClosed).
+    // however it ends (answer, timeout, poison, kClosed).
     if (AdmissionExempt(msg.op)) return Exchange(msg);
     const std::size_t cost = ControlMessageCost(msg);
     AFS_RETURN_IF_ERROR(Admit(cost));
@@ -397,12 +398,6 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
   Result<ControlResponse> Exchange(const ControlMessage& msg)
       AFS_NONBLOCKING AFS_REQUIRES(mu_) {
     Status sent = link_->AF_SendControl(msg);
-    if (sent.code() == ErrorCode::kOverloaded) {
-      // The link shed the op before anything crossed (congested ring, full
-      // shard queue): the stream is still synchronized, so the handle stays
-      // usable — kOverloaded is retryable, never poisonous.
-      return sent;
-    }
     if (!sent.ok()) return Poison(std::move(sent));
     Result<ControlResponse> resp = link_->AF_GetResponse();
     if (!resp.ok()) return Poison(resp.status());
@@ -719,19 +714,13 @@ class ProcessHandle final : public vfs::FileHandle {
 // carries the sentinel's open-time grant, so a caching client holds its
 // lease before the first data op; `banner_out`, when set, receives it.
 Result<std::unique_ptr<vfs::FileHandle>> OpenLinkHandle(
-    const OpenRequest& request, sentinel::SentinelLink* link,
-    std::shared_ptr<void> keepalive, std::function<void()> cleanup,
-    AdmissionGate* shard_gate = nullptr,
+    const OpenRequest& request, OverloadPolicy policy,
+    sentinel::SentinelLink* link, std::shared_ptr<void> keepalive,
+    std::function<void()> cleanup, AdmissionGate* shard_gate = nullptr,
     ControlResponse* banner_out = nullptr) {
-  Result<OverloadPolicy> policy =
-      OverloadPolicyFromSpec(request.spec.config, OverloadPolicy::kShed);
-  if (!policy.ok()) {
-    cleanup();
-    return policy.status();
-  }
   auto handle = std::make_unique<LinkHandle>(link, std::move(keepalive),
                                              std::move(cleanup), request,
-                                             *policy, shard_gate);
+                                             policy, shard_gate);
   Result<ControlResponse> banner = link->AF_GetResponse();
   if (!banner.ok() || !banner->status.ok()) {
     handle->Abort();
@@ -760,7 +749,7 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenDirect(
 
 Result<std::unique_ptr<vfs::FileHandle>> OpenThread(
     const sentinel::SentinelRegistry& registry, const OpenRequest& request,
-    SessionProbe* probe) {
+    OverloadPolicy overload, SessionProbe* probe) {
   struct Resources {
     ThreadRendezvous rendezvous;
     std::unique_ptr<sentinel::Sentinel> sent;
@@ -802,14 +791,14 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenThread(
     res->rendezvous.Shutdown();
     if (res->worker.joinable()) res->worker.join();
   };
-  return OpenLinkHandle(request, &res->rendezvous, res, cleanup);
+  return OpenLinkHandle(request, overload, &res->rendezvous, res, cleanup);
 }
 
 // Event-loop strategy: the sentinel is neither a process nor a dedicated
 // thread — it is state serviced by a shard of the global LoopHost pool.
 Result<std::unique_ptr<vfs::FileHandle>> OpenLoop(
     const sentinel::SentinelRegistry& registry, const OpenRequest& request,
-    SessionProbe* probe) {
+    OverloadPolicy overload, SessionProbe* probe) {
   AFS_ASSIGN_OR_RETURN(CacheAssembly cache,
                        AssembleCache(request.host_path, request.spec));
   AFS_ASSIGN_OR_RETURN(std::unique_ptr<sentinel::Sentinel> sent,
@@ -844,7 +833,7 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenLoop(
   // Every command charges the shard's gate, shared with its co-tenants, on
   // top of the per-link gate.
   auto cleanup = [session]() { session->Shutdown(); };
-  return OpenLinkHandle(request, session.get(), session, cleanup,
+  return OpenLinkHandle(request, overload, session.get(), session, cleanup,
                         &host.ShardGate(session->shard_index()));
 }
 
@@ -858,7 +847,7 @@ std::string ExecPath(const OpenRequest& request) {
 
 Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
     const sentinel::SentinelRegistry& registry, const OpenRequest& request,
-    SessionProbe* probe) {
+    OverloadPolicy overload, SessionProbe* probe) {
   struct Resources {
     std::unique_ptr<PipeLink> link;
     std::shared_ptr<ipc::ProcessWatch> child;
@@ -869,14 +858,6 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
   auto res = std::make_shared<Resources>();
   res->link = std::make_unique<PipeLink>(std::move(pipes.first));
   res->link->set_response_timeout(OpTimeout(request));
-
-  // The ring lane defaults to brownout (docs/OVERLOAD.md): a congested
-  // ring reroutes bulk bytes onto the pipes.  The spec's `overload` key
-  // switches it to shed or block.
-  AFS_ASSIGN_OR_RETURN(
-      OverloadPolicy overload,
-      OverloadPolicyFromSpec(request.spec.config, OverloadPolicy::kBrownout));
-  res->link->set_overload(overload);
 
   std::shared_ptr<Lease> lease;
   if (probe != nullptr && request.heartbeat_interval.count() > 0) {
@@ -932,7 +913,6 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
     PipeEndpoint endpoint(std::move(pipes.second));
     endpoint.set_heartbeat_interval(request.heartbeat_interval);
     if (ring) endpoint.set_shm(ring, shm.threshold);
-    endpoint.set_overload(overload);
     // Idle heartbeats double as the lease-recall push channel: the
     // endpoint stamps the sentinel's current grant into every beat (the
     // ctx outlives the child's loop — both live in the forked frame).
@@ -977,7 +957,8 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
   ControlResponse banner;
   AFS_ASSIGN_OR_RETURN(
       std::unique_ptr<vfs::FileHandle> handle,
-      OpenLinkHandle(request, res->link.get(), res, cleanup, nullptr, &banner));
+      OpenLinkHandle(request, overload, res->link.get(), res, cleanup,
+                     nullptr, &banner));
   if (ring && !banner.shm_ring) {
     // The sentinel could not attach the ring: every payload stays on the
     // pipes for this session.
@@ -1121,17 +1102,24 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenWithStrategy(
       .GetCounter(std::string("core.open.") +
                   std::string(StrategyName(strategy)))
       .Add(1);
+  if (strategy == Strategy::kProcess) {
+    return OpenProcess(registry, request, probe);
+  }
+  if (strategy == Strategy::kDirect) return OpenDirect(registry, request);
+  // The command strategies admit every op under the spec's `overload`
+  // policy.  A bad value fails the open here, before any sentinel exists.
+  AFS_ASSIGN_OR_RETURN(const OverloadPolicy overload,
+                       OverloadPolicyFromSpec(request.spec.config));
   switch (strategy) {
-    case Strategy::kProcess:
-      return OpenProcess(registry, request, probe);
     case Strategy::kProcessControl:
-      return OpenProcessControl(registry, request, probe);
+      return OpenProcessControl(registry, request, overload, probe);
     case Strategy::kThread:
-      return OpenThread(registry, request, probe);
-    case Strategy::kDirect:
-      return OpenDirect(registry, request);
+      return OpenThread(registry, request, overload, probe);
     case Strategy::kLoop:
-      return OpenLoop(registry, request, probe);
+      return OpenLoop(registry, request, overload, probe);
+    case Strategy::kProcess:
+    case Strategy::kDirect:
+      break;
   }
   return InvalidArgumentError("bad strategy");
 }

@@ -78,8 +78,6 @@ Result<RestartPolicy> RestartPolicy::FromSpec(
   if (degrade_it != config.end()) {
     AFS_ASSIGN_OR_RETURN(policy.degrade, ParseDegradeMode(degrade_it->second));
   }
-  AFS_ASSIGN_OR_RETURN(policy.overload,
-                       OverloadPolicyFromSpec(config, policy.overload));
   return policy;
 }
 

@@ -38,7 +38,6 @@
 #include "common/mutex.hpp"
 #include "common/status.hpp"
 #include "core/event_loop.hpp"
-#include "core/overload.hpp"
 #include "core/strategies.hpp"
 #include "ipc/process.hpp"
 #include "vfs/file_handle.hpp"
@@ -99,11 +98,6 @@ struct RestartPolicy {
   Micros backoff_cap{100'000};
   Micros lease{0};
   DegradeMode degrade = DegradeMode::kFail;
-  // The `overload=` spec key (docs/OVERLOAD.md): supervisor-visible so
-  // operators can audit how a supervised session behaves at saturation.
-  // The strategies consume the same key when building the link; a shed
-  // (kOverloaded) op is an ordinary op error and never burns a restart.
-  OverloadPolicy overload = OverloadPolicy::kShed;
 
   static Result<RestartPolicy> FromSpec(
       const std::map<std::string, std::string>& config);

@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
+#include "common/bytes.hpp"
 #include "core/links.hpp"
 #include "sentinel/control.hpp"
+#include "sentinel/dispatch.hpp"
+#include "sentinel/sentinel.hpp"
 #include "test_util.hpp"
 
 namespace afs::sentinel {
@@ -216,6 +220,123 @@ TEST(PipeLinkTest, ShutdownGivesEofToEndpoint) {
   core::PipeEndpoint endpoint(std::move(pair->second));
   link.Shutdown();
   EXPECT_EQ(endpoint.AF_GetControl().status().code(), ErrorCode::kClosed);
+}
+
+// The invariant the link's lane choice rests on: the protocol runs one op
+// at a time and each side drains its ring lane before the answer returns,
+// so at every send both directions of the ring are empty — a payload
+// never finds earlier bytes parked ahead of it.  The 16 KiB ring is
+// smaller than the 64 KiB transfers (they stream through a draining
+// reader) and larger than each 8 KiB segment.
+TEST(PipeLinkTest, RingIsEmptyAtEverySend) {
+  constexpr std::size_t kBulk = 64 * 1024;
+  constexpr std::size_t kSegment = 8 * 1024;
+  constexpr int kSegments = 8;
+  auto pair = core::CreatePipePair();
+  ASSERT_OK(pair.status());
+  auto ring = ipc::ShmRing::Create(16 * 1024);
+  ASSERT_OK(ring.status());
+  core::PipeLink link(std::move(pair->first));
+  core::PipeEndpoint endpoint(std::move(pair->second));
+  link.set_shm(*ring, 1);
+  endpoint.set_shm(*ring, 1);
+
+  // The null sentinel over a memory-backed data part, served on a thread.
+  Sentinel null_sentinel;
+  MemoryDataStore store;
+  SentinelContext ctx;
+  ctx.cache = &store;
+  std::thread sentinel_side(
+      [&] { EXPECT_EQ(RunSentinelLoop(null_sentinel, endpoint, ctx), 0); });
+
+  auto expect_ring_empty = [&](const char* after) {
+    EXPECT_EQ((*ring)->buffered(ipc::ShmRing::kToSentinel), 0u) << after;
+    EXPECT_EQ((*ring)->buffered(ipc::ShmRing::kToApp), 0u) << after;
+  };
+  auto round_trip = [&](const ControlMessage& msg) {
+    EXPECT_OK(link.AF_SendControl(msg));
+    Result<ControlResponse> resp = link.AF_GetResponse();
+    EXPECT_OK(resp.status());
+    if (!resp.ok()) return ControlResponse{};
+    EXPECT_OK(resp->status);
+    return std::move(*resp);
+  };
+  auto rewind = [&] {
+    ControlMessage seek;
+    seek.op = ControlOp::kSeek;
+    round_trip(seek);
+    expect_ring_empty("seek");
+  };
+  auto vec_table = [&] {
+    Buffer table;
+    AppendU32(table, kSegments);
+    for (int i = 0; i < kSegments; ++i) AppendU32(table, kSegment);
+    return table;
+  };
+
+  Result<ControlResponse> banner = link.AF_GetResponse();
+  ASSERT_OK(banner.status());
+  ASSERT_TRUE(banner->shm_ring);
+  expect_ring_empty("banner");
+
+  Buffer written(kBulk);
+  for (std::size_t i = 0; i < written.size(); ++i) {
+    written[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  ControlMessage write;
+  write.op = ControlOp::kWrite;
+  write.length = kBulk;
+  write.inline_in = ByteSpan(written);
+  EXPECT_EQ(round_trip(write).number, kBulk);
+  expect_ring_empty("write");
+
+  rewind();
+  Buffer read_back(kBulk);
+  ControlMessage read;
+  read.op = ControlOp::kRead;
+  read.length = kBulk;
+  read.inline_out = MutableByteSpan(read_back);
+  ControlResponse read_resp = round_trip(read);
+  EXPECT_EQ(read_resp.number, kBulk);
+  EXPECT_TRUE(read_resp.payload.empty());  // the bytes rode the ring
+  EXPECT_EQ(read_back, written);
+  expect_ring_empty("read");
+
+  rewind();
+  std::vector<Buffer> sources(kSegments, Buffer(kSegment));
+  std::vector<ByteSpan> gather;
+  for (int i = 0; i < kSegments; ++i) {
+    std::fill(sources[i].begin(), sources[i].end(),
+              static_cast<std::uint8_t>(0xA0 + i));
+    gather.push_back(ByteSpan(sources[i]));
+  }
+  ControlMessage write_vec;
+  write_vec.op = ControlOp::kWriteVec;
+  write_vec.payload = vec_table();
+  write_vec.length = kBulk;
+  write_vec.vec_in = gather;
+  EXPECT_EQ(round_trip(write_vec).number, kBulk);
+  expect_ring_empty("gather write");
+
+  rewind();
+  std::vector<Buffer> sinks(kSegments, Buffer(kSegment));
+  std::vector<MutableByteSpan> scatter;
+  for (Buffer& sink : sinks) scatter.push_back(MutableByteSpan(sink));
+  ControlMessage read_vec;
+  read_vec.op = ControlOp::kReadVec;
+  read_vec.payload = vec_table();
+  read_vec.length = kBulk;
+  read_vec.vec_out = scatter;
+  ControlResponse scatter_resp = round_trip(read_vec);
+  EXPECT_EQ(scatter_resp.number, kBulk);
+  EXPECT_TRUE(scatter_resp.payload.empty());  // the bytes rode the ring
+  EXPECT_EQ(sinks, sources);
+  expect_ring_empty("scatter read");
+
+  ControlMessage close;
+  close.op = ControlOp::kClose;
+  round_trip(close);
+  sentinel_side.join();
 }
 
 TEST(ThreadRendezvousTest, InlineLanesPassUserBuffers) {

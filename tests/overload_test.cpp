@@ -1,8 +1,8 @@
-// Overload-protection lane (docs/OVERLOAD.md): bounded admission, typed
-// shed with retry-after hints, and graceful brownout across the stack —
-// the AdmissionGate in isolation, the admit_* spec keys on real
-// strategies, the loop host's shard budgets under 2x saturation, and the
-// HTTP server's 503 + Retry-After shed path.
+// Overload-protection lane (docs/OVERLOAD.md): bounded admission and typed
+// shed with retry-after hints across the stack — the AdmissionGate in
+// isolation, the admit_* spec keys on real strategies, the loop host's
+// shard budgets under 2x saturation, and the HTTP server's 503 +
+// Retry-After shed path.
 //
 // Ordering note: the shard-budget saturation fixture is defined FIRST in
 // this file because it must set AFS_LOOP_MAX_QUEUE_BYTES before anything
@@ -112,22 +112,6 @@ TEST(LoopSaturationTest, ShardBudgetShedsUnderSaturationAndDrainsToZero) {
 
 // ---- AdmissionGate in isolation --------------------------------------------
 
-TEST(AdmissionGateTest, InflightCapShedsThenRecoversOnRelease) {
-  AdmissionGate gate({.max_inflight = 2});
-  ASSERT_OK(gate.Admit(10));
-  ASSERT_OK(gate.Admit(10));
-  const Status third = gate.Admit(10);
-  EXPECT_STATUS_CODE(third, ErrorCode::kOverloaded);
-  EXPECT_GT(RetryAfterHintMs(third), 0);
-  EXPECT_EQ(gate.inflight(), 2);
-  gate.Release(10);
-  EXPECT_OK(gate.Admit(10));
-  gate.Release(10);
-  gate.Release(10);
-  EXPECT_EQ(gate.inflight(), 0);
-  EXPECT_EQ(gate.queue_bytes(), 0u);
-}
-
 TEST(AdmissionGateTest, QueueByteCapShedsButNeverStrandsAnOversizedOp) {
   AdmissionGate gate({.max_queue_bytes = 100});
   // An op larger than the whole budget admits into an empty gate —
@@ -154,7 +138,7 @@ TEST(AdmissionGateTest, RateLimitShedsWithRetryHintAndWithoutDebiting) {
 }
 
 TEST(AdmissionGateTest, AdmitForBlocksUntilCapacityFrees) {
-  AdmissionGate gate({.max_inflight = 1});
+  AdmissionGate gate({.max_queue_bytes = 8});
   ASSERT_OK(gate.Admit(8));
   std::thread releaser([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -165,11 +149,11 @@ TEST(AdmissionGateTest, AdmitForBlocksUntilCapacityFrees) {
   EXPECT_OK(gate.AdmitFor(8, Micros{5'000'000}));
   releaser.join();
   gate.Release(8);
-  EXPECT_EQ(gate.inflight(), 0);
+  EXPECT_EQ(gate.queue_bytes(), 0u);
 }
 
 TEST(AdmissionGateTest, AdmitForShedsWhenTheDeadlineExpires) {
-  AdmissionGate gate({.max_inflight = 1});
+  AdmissionGate gate({.max_queue_bytes = 8});
   ASSERT_OK(gate.Admit(8));
   const Status shed = gate.AdmitFor(8, Micros{20'000});
   EXPECT_STATUS_CODE(shed, ErrorCode::kOverloaded);
@@ -178,7 +162,7 @@ TEST(AdmissionGateTest, AdmitForShedsWhenTheDeadlineExpires) {
 }
 
 TEST(AdmitWithPolicyTest, PoliciesShapeTheWait) {
-  AdmissionGate gate({.max_inflight = 1});
+  AdmissionGate gate({.max_queue_bytes = 8});
   ASSERT_OK(gate.Admit(8));
   // kShed fails immediately; kBrownout sheds after its short grace.
   EXPECT_STATUS_CODE(
@@ -213,22 +197,21 @@ TEST(OverloadSpecTest, PolicyNamesRoundTrip) {
 
 TEST(OverloadSpecTest, SpecKeysParseIntoLimits) {
   std::map<std::string, std::string> config;
-  config["admit_queue_bytes"] = "4096";
-  config["admit_inflight"] = "3";
   config["admit_bps"] = "1000000";
   config["admit_burst"] = "8192";
   config["overload"] = "brownout";
   const AdmissionGate::Limits limits = core::AdmissionLimitsFromSpec(config);
-  EXPECT_EQ(limits.max_queue_bytes, 4096u);
-  EXPECT_EQ(limits.max_inflight, 3);
   EXPECT_EQ(limits.rate_bytes_per_second, 1'000'000u);
   EXPECT_EQ(limits.burst_bytes, 8192u);
   EXPECT_TRUE(core::AdmissionConfigured(limits));
   EXPECT_FALSE(core::AdmissionConfigured(AdmissionGate::Limits{}));
-  auto policy =
-      core::OverloadPolicyFromSpec(config, OverloadPolicy::kShed);
+  auto policy = core::OverloadPolicyFromSpec(config);
   ASSERT_OK(policy.status());
   EXPECT_EQ(*policy, OverloadPolicy::kBrownout);
+  // No `overload` key: every command strategy sheds.
+  auto fallback = core::OverloadPolicyFromSpec({});
+  ASSERT_OK(fallback.status());
+  EXPECT_EQ(*fallback, OverloadPolicy::kShed);
 }
 
 TEST(RetryAfterTagTest, HintSurvivesTheStatusMessage) {
@@ -316,7 +299,10 @@ void RunAbandonedOpReleasesItsAdmission(const char* strategy) {
   SentinelSpec spec;
   spec.name = "null";
   spec.config["strategy"] = strategy;
-  spec.config["admit_inflight"] = "1";
+  // A budget generous enough never to shed, so the link gate exists and
+  // charges core.overload.queue_bytes for every op.
+  spec.config["admit_bps"] = "100000000";
+  spec.config["admit_burst"] = "1048576";
   spec.config["op_timeout_ms"] = "50";
   const std::string name = std::string(strategy) + "-abandon.af";
   ASSERT_OK(manager.CreateActiveFile(name, spec, AsBytes("0123456789abcdef")));
@@ -360,6 +346,78 @@ TEST(StrategyAdmissionTest, LoopReleasesAnAbandonedOp) {
 
 TEST(StrategyAdmissionTest, ProcessControlReleasesAnAbandonedOp) {
   RunAbandonedOpReleasesItsAdmission("process_control");
+}
+
+// A bad `overload` value fails the open before any sentinel exists: no
+// OnOpen runs (so no OnClose either) on the in-process command strategies,
+// and process_control fails before it spawns its child.  Checked at the
+// strategy layer, which the supervisor's restarts also open through, and
+// end to end through OpenFile.
+TEST(StrategyAdmissionTest, BadOverloadValueFailsTheOpenBeforeAnySentinel) {
+  struct LifecycleProbe final : sentinel::Sentinel {
+    Status OnOpen(sentinel::SentinelContext&) override {
+      opens().fetch_add(1);
+      return Status::Ok();
+    }
+    Status OnClose(sentinel::SentinelContext&) override {
+      closes().fetch_add(1);
+      return Status::Ok();
+    }
+    static std::atomic<int>& opens() {
+      static std::atomic<int> count{0};
+      return count;
+    }
+    static std::atomic<int>& closes() {
+      static std::atomic<int> count{0};
+      return count;
+    }
+  };
+  TempDir tmp;
+  vfs::FileApi api(tmp.path() + "/root");
+  sentinels::RegisterBuiltinSentinels();
+  auto& registry = sentinel::SentinelRegistry::Global();
+  if (!registry.Has("overload-lifecycle-probe")) {
+    ASSERT_OK(registry.Register("overload-lifecycle-probe",
+                                [](const sentinel::SentinelSpec&) {
+                                  return std::make_unique<LifecycleProbe>();
+                                }));
+  }
+  core::ActiveFileManager manager(api, registry);
+  manager.Install();
+  obs::Gauge& loop_sessions =
+      obs::Registry::Global().GetGauge("core.loop.sessions");
+
+  for (core::Strategy strategy :
+       {core::Strategy::kThread, core::Strategy::kLoop,
+        core::Strategy::kProcessControl}) {
+    const std::string strategy_name(core::StrategyName(strategy));
+    SCOPED_TRACE(strategy_name);
+    core::OpenRequest request;
+    request.vfs_path = strategy_name + "-panic.af";
+    request.spec.name = "overload-lifecycle-probe";
+    request.spec.config["strategy"] = strategy_name;
+    request.spec.config["cache"] = "none";  // no bundle path needed below
+    request.spec.config["overload"] = "panic";
+    ASSERT_OK(manager.CreateActiveFile(request.vfs_path, request.spec));
+    const int opens_before = LifecycleProbe::opens().load();
+    const int closes_before = LifecycleProbe::closes().load();
+    const std::int64_t sessions_before = loop_sessions.Value();
+    EXPECT_STATUS_CODE(
+        core::OpenWithStrategy(strategy, registry, request).status(),
+        ErrorCode::kInvalidArgument);
+    EXPECT_STATUS_CODE(
+        api.OpenFile(request.vfs_path, vfs::OpenMode::kReadWrite).status(),
+        ErrorCode::kInvalidArgument);
+    // A loop session that was started anyway runs OnOpen on its shard,
+    // possibly after the open returned: let any such session wind down.
+    ASSERT_TRUE(test::PollUntil(
+        [&] { return loop_sessions.Value() <= sessions_before; }));
+    // process_control's sentinel would run in a child, out of sight here.
+    if (strategy == core::Strategy::kProcessControl) continue;
+    EXPECT_EQ(LifecycleProbe::opens().load(), opens_before);
+    EXPECT_EQ(LifecycleProbe::closes().load(), closes_before);
+  }
+  EXPECT_EQ(api.open_handle_count(), 0u);
 }
 
 TEST(StrategyAdmissionTest, BlockPolicyRidesOutTheBudgetInsteadOfShedding) {

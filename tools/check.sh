@@ -32,6 +32,10 @@
 #                             # pipe >=2x throughput gate, the overload
 #                             # column's gates, or the cache-hit <=1.5x
 #                             # passive-read gate regress
+#   tools/check.sh perfbench  # the repo benchmark, briefly: one 2 s seeded
+#                             # run of each perfbench workload; fails
+#                             # unless every run exits 0 with correct
+#                             # reads and no failed ops
 #   tools/check.sh soak       # long-run overload lane (docs/OVERLOAD.md):
 #                             # the optimized overload bench with its
 #                             # gates, then the full fault matrix — which
@@ -204,6 +208,29 @@ run_analyze() {
   echo "== analyze: running afs_lint"
   python3 tools/analyze/afs_lint.py --compdb build/compile_commands.json
   echo "== analyze: clean"
+}
+
+run_perfbench() {
+  # The repo benchmark end to end (perfbench/README.md), short enough for
+  # per-change CI: run.py configures and builds perfbench/ (and the library
+  # from src/) on first use, then each workload runs once.  Figures are
+  # not gated here — a shared CI host is too noisy for that — only that
+  # every run completes, reads back correct bytes and fails no op.
+  local workload
+  for workload in memory-small disk-bulk remote-zipf open-churn; do
+    echo "== perfbench: $workload (seed 11, 2 s)"
+    python3 perfbench/run.py --workload "$workload" --seed 11 --seconds 2 \
+      --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+correct, failed = result["correct"], result["failed"]
+print("   correct=%s attempted=%s failed=%s"
+      % (correct, result["attempted"], failed))
+if correct is not True or failed != 0:
+    sys.exit("perfbench: FAIL: need correct=true and failed=0")
+'
+  done
+  echo "== perfbench: clean"
 }
 
 run_soak() {
@@ -384,6 +411,7 @@ case "$STAGE" in
   obs) run_obs ;;
   multicore) run_multicore ;;
   analyze) run_analyze ;;
+  perfbench) run_perfbench ;;
   soak) run_soak ;;
   bench-smoke) run_bench_smoke ;;
   all)
@@ -404,7 +432,7 @@ case "$STAGE" in
     exit "$ANY_FAILED"
     ;;
   *)
-    echo "usage: tools/check.sh [tidy|asan|tsan|fault|recovery|cache|obs|multicore|analyze|soak|bench-smoke|all]" >&2
+    echo "usage: tools/check.sh [tidy|asan|tsan|fault|recovery|cache|obs|multicore|analyze|perfbench|soak|bench-smoke|all]" >&2
     exit 2
     ;;
 esac
