@@ -45,7 +45,7 @@ void Stage(std::size_t bytes) {
 }
 
 void BM_RpcGet(benchmark::State& state) {
-  Env& env = GetEnv();
+  GetEnv();
   Stage(static_cast<std::size_t>(state.range(0)));
   net::SocketClient client("/tmp/afs-bench-protocols/rpc.sock");
   net::FileClient fc(client);

@@ -13,6 +13,35 @@ namespace afs {
 
 using Micros = std::chrono::microseconds;
 
+// One operation's time budget: a steady-clock instant, or never.  An op
+// computes its deadline once and hands that one value to every wait it
+// makes, so the budget covers the whole call, not each leg of it.
+class Deadline {
+ public:
+  using TimePoint = std::chrono::steady_clock::time_point;
+
+  static constexpr Deadline Never() noexcept { return Deadline(kNever); }
+  // `budget` from now; a non-positive budget means never (no clock read).
+  static Deadline In(Micros budget) noexcept;
+  // Implicit, so a `Micros` timeout passes wherever a deadline is taken.
+  Deadline(Micros budget) noexcept : Deadline(In(budget)) {}  // NOLINT
+
+  bool never() const noexcept { return at_ == kNever; }
+  TimePoint at() const noexcept { return at_; }
+  // poll(2) timeout: -1 when never, 0 once passed (an immediate kTimeout,
+  // not "wait forever"), else the milliseconds left, rounded up.
+  int PollMillis() const noexcept;
+  // One slice of a sliced futex/condvar wait: `cap`, or what is left when
+  // that is less; zero once passed.
+  Micros Slice(Micros cap) const noexcept;
+  friend bool operator<(Deadline a, Deadline b) { return a.at_ < b.at_; }
+
+ private:
+  static constexpr TimePoint kNever = TimePoint::max();
+  constexpr explicit Deadline(TimePoint at) noexcept : at_(at) {}
+  TimePoint at_;
+};
+
 class Clock {
  public:
   virtual ~Clock() = default;

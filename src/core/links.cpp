@@ -22,13 +22,6 @@ using sentinel::EncodeControlResponse;
 
 namespace {
 
-// Default bound on any single pipe transfer leg that is not covered by an
-// operator-configured deadline.  Pipe legs complete in microseconds when
-// the peer is alive (the capacity is one kernel buffer); ten seconds of a
-// full pipe means the peer stopped draining — fail with kTimeout instead
-// of parking a thread forever.
-constexpr Micros kPipeIoTimeout{10'000'000};
-
 // Idle re-arm slice for the endpoint's command wait when no heartbeat
 // cadence is configured: the wait becomes a sequence of bounded polls.
 constexpr Micros kIdleWaitSlice{500'000};
@@ -88,13 +81,13 @@ void PipeLink::set_shm(std::shared_ptr<ipc::ShmRing> ring,
   shm_threshold_ = threshold;
 }
 
-Status PipeLink::AF_SendControl(const ControlMessage& message) {
+Status PipeLink::AF_SendControl(const ControlMessage& message,
+                                Deadline deadline) {
   AFS_FAULT_POINT("core.link.send");
-  // Outbound legs are bounded by the op deadline when configured, by the
-  // generic pipe bound otherwise: a sentinel that stopped draining its
-  // control pipe costs this op kTimeout, never a parked application.
-  const Micros bound =
-      response_timeout_.count() > 0 ? response_timeout_ : kPipeIoTimeout;
+  // A sentinel that stopped draining its control pipe costs this op
+  // kTimeout, never a parked application, even when the op has no deadline.
+  const Deadline bound =
+      std::min(deadline, Deadline::In(ipc::kStallTimeout));
   // Bulk payloads at/above the threshold leave the pipes for the ring.
   const std::size_t out_len = OutboundPayloadSize(message);
   const bool use_ring =
@@ -112,42 +105,33 @@ Status PipeLink::AF_SendControl(const ControlMessage& message) {
       fds_.control_write,
       EncodeControlMessage(message, use_ring ? sentinel::kLaneShm : 0),
       bound));
-  if (out_len == 0) return Status::Ok();
-  if (use_ring) {
-    if (message.op == ControlOp::kWrite) {
-      return ring_->Write(ipc::ShmRing::kToSentinel, message.inline_in,
-                          bound);
-    }
-    for (ByteSpan segment : message.vec_in) {
-      AFS_RETURN_IF_ERROR(
-          ring_->Write(ipc::ShmRing::kToSentinel, segment, bound));
-    }
-    return Status::Ok();
-  }
-  if (message.op == ControlOp::kWrite) {
-    // The paper's write path: command on the control channel, then the
-    // payload bytes on the write pipe.
-    return fds_.data_write.WriteAll(message.inline_in, bound);
-  }
-  for (ByteSpan segment : message.vec_in) {
-    // Gather segments travel the write pipe concatenated; the sentinel
-    // slices them back apart from the message's segment table.
-    if (!segment.empty()) {
-      AFS_RETURN_IF_ERROR(fds_.data_write.WriteAll(segment, bound));
-    }
+  // The paper's write path: command on the control channel, then the
+  // payload bytes on the write lane.  Gather segments travel concatenated;
+  // the sentinel slices them back apart from the message's segment table.
+  const std::span<const ByteSpan> segments =
+      message.op == ControlOp::kWrite
+          ? std::span<const ByteSpan>(&message.inline_in, 1)
+          : std::span<const ByteSpan>(message.vec_in);
+  for (ByteSpan segment : segments) {
+    if (segment.empty()) continue;
+    AFS_RETURN_IF_ERROR(
+        use_ring ? ring_->Write(ipc::ShmRing::kToSentinel, segment, bound)
+                 : fds_.data_write.WriteAll(segment, bound));
   }
   return Status::Ok();
 }
 
-Status PipeLink::AdoptResponse(ControlResponse& response) {
+Status PipeLink::AdoptResponse(ControlResponse& response, Deadline deadline) {
   if ((response.lane & sentinel::kLaneShm) == 0 || response.lane_len == 0) {
     return Status::Ok();
   }
   if (!ring_) {
     return ProtocolError("shm-lane response without an attached ring");
   }
-  const Micros bound =
-      response_timeout_.count() > 0 ? response_timeout_ : kPipeIoTimeout;
+  // The payload trails its frame: a stall here is a dead peer, not a slow
+  // answer.
+  const Deadline bound =
+      std::min(deadline, Deadline::In(ipc::kStallTimeout));
   std::size_t remaining = response.lane_len;
   for (MutableByteSpan dst : scatter_) {
     if (remaining == 0) break;
@@ -168,7 +152,7 @@ Status PipeLink::AdoptResponse(ControlResponse& response) {
   return Status::Ok();
 }
 
-Result<ControlResponse> PipeLink::AF_GetResponse() {
+Result<ControlResponse> PipeLink::AF_GetResponse(Deadline deadline) {
   AFS_FAULT_POINT("core.link.recv");
   MutexLock lock(read_mu_);
   if (pending_.has_value()) {
@@ -178,30 +162,18 @@ Result<ControlResponse> PipeLink::AF_GetResponse() {
     if (lease_) lease_->Renew();
     return stashed;
   }
-  const bool bounded = response_timeout_.count() > 0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(response_timeout_.count());
   while (true) {
-    Micros remaining = response_timeout_;
-    if (bounded) {
-      const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-          deadline - std::chrono::steady_clock::now());
-      if (left.count() <= 0) {
-        return TimeoutError("sentinel did not respond in time");
-      }
-      remaining = Micros{left.count()};
-    }
     AFS_ASSIGN_OR_RETURN(Buffer frame,
-                         ipc::ReadFrame(fds_.response_read, remaining));
+                         ipc::ReadFrame(fds_.response_read, deadline));
     AFS_ASSIGN_OR_RETURN(ControlResponse response,
                          DecodeControlResponse(ByteSpan(frame)));
     if (lease_) lease_->Renew();
     // A shm-lane answer drains its ring payload.
-    AFS_RETURN_IF_ERROR(AdoptResponse(response));
+    AFS_RETURN_IF_ERROR(AdoptResponse(response, deadline));
     if (!response.heartbeat) return response;
     // A heartbeat renews the lease and carries the cache-lease grant (it is
     // how a recall reaches a client whose next op is still in this wait);
-    // keep waiting, against the same overall deadline, for the answer.
+    // keep waiting, against the same deadline, for the answer.
     if (cache_channel_) cache_channel_->Observe(response);
   }
 }
@@ -220,7 +192,7 @@ void PipeLink::PollHeartbeats() {
     // it here (into the in-flight op's stashed spans) before stashing the
     // frame.  On failure the channel is desynchronized — stop draining and
     // let the waiting op time out / the lease expire.
-    if (!AdoptResponse(*response).ok()) break;
+    if (!AdoptResponse(*response, Deadline::Never()).ok()) break;
     if (!response->heartbeat) {
       pending_ = std::move(*response);
     } else if (cache_channel_) {
@@ -271,13 +243,13 @@ Result<ControlMessage> PipeEndpoint::AF_GetControl() {
       AFS_RETURN_IF_ERROR(ipc::WriteFrame(
           fds_.response_write,
           EncodeControlResponse(beat, ring_ != nullptr, 0),
-          kPipeIoTimeout));
+          ipc::kStallTimeout));
     }
   }
   // Readable now, so the frame-start wait is satisfied instantly; the
   // bound covers only a peer dying mid-frame.
   AFS_ASSIGN_OR_RETURN(Buffer frame,
-                       ipc::ReadFrame(fds_.control_read, kPipeIoTimeout));
+                       ipc::ReadFrame(fds_.control_read, ipc::kStallTimeout));
   AFS_ASSIGN_OR_RETURN(ControlMessage message,
                        DecodeControlMessage(ByteSpan(frame)));
   // Remember which lane this command's payload travels; the dispatch loop
@@ -292,13 +264,13 @@ Result<Buffer> PipeEndpoint::AF_GetDataFromAppl(std::size_t length) {
   if (ring_ && (last_lane_ & sentinel::kLaneShm) != 0) {
     AFS_RETURN_IF_ERROR(ring_->ReadExact(ipc::ShmRing::kToSentinel,
                                          MutableByteSpan(data),
-                                         kPipeIoTimeout));
+                                         ipc::kStallTimeout));
     return data;
   }
   // The control frame announcing these bytes already arrived; the payload
   // is right behind it, so a stall is a dead application, not idleness.
   AFS_RETURN_IF_ERROR(
-      fds_.data_read.ReadExact(MutableByteSpan(data), kPipeIoTimeout));
+      fds_.data_read.ReadExact(MutableByteSpan(data), ipc::kStallTimeout));
   return data;
 }
 
@@ -309,14 +281,15 @@ Status PipeEndpoint::AF_SendResponse(const ControlResponse& response) {
   const bool use_ring = ring_ != nullptr && !response.heartbeat &&
                         response.payload.size() >= shm_threshold_ &&
                         !response.payload.empty();
+  const Deadline bound = Deadline::In(ipc::kStallTimeout);
   AFS_RETURN_IF_ERROR(ipc::WriteFrame(
       fds_.response_write,
       EncodeControlResponse(response, ring_ != nullptr,
                             use_ring ? sentinel::kLaneShm : 0),
-      kPipeIoTimeout));
+      bound));
   if (use_ring) {
     return ring_->Write(ipc::ShmRing::kToApp, ByteSpan(response.payload),
-                        kPipeIoTimeout);
+                        bound);
   }
   return Status::Ok();
 }
@@ -337,18 +310,15 @@ Status MailboxSlot::Post(const ControlMessage& message) {
   return Status::Ok();
 }
 
-Result<ControlResponse> MailboxSlot::Collect(Micros timeout) {
+Result<ControlResponse> MailboxSlot::Collect(Deadline deadline) {
   MutexLock lock(mu_);
-  const bool bounded = timeout.count() > 0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(timeout.count());
   while (state_ != SlotState::kResponse && !closed_) {
-    if (!bounded) {
-      // Unbounded only when the operator set op_timeout_ms=0 to opt out of
-      // deadlines; Close() still wakes it with kClosed.
-      // afs-lint: allow(nonblocking: operator opted out of the deadline)
+    if (deadline.never()) {
+      // Unbounded only when the op carries no deadline (op_timeout_ms unset
+      // or 0); Close() still wakes it with kClosed.
+      // afs-lint: allow(nonblocking: the op carries no deadline)
       cv_.Wait(mu_);
-    } else if (!cv_.WaitUntil(mu_, deadline)) {
+    } else if (!cv_.WaitUntil(mu_, deadline.at())) {
       if (state_ == SlotState::kResponse || closed_) {
         break;  // answered (or closed) right at the wire
       }
@@ -400,14 +370,15 @@ bool MailboxSlot::closed() {
   return closed_;
 }
 
-Status ThreadRendezvous::AF_SendControl(const ControlMessage& message) {
+Status ThreadRendezvous::AF_SendControl(const ControlMessage& message,
+                                        Deadline /*deadline*/) {
   AFS_FAULT_POINT("core.link.send");
   return slot_.Post(message);
 }
 
-Result<ControlResponse> ThreadRendezvous::AF_GetResponse() {
+Result<ControlResponse> ThreadRendezvous::AF_GetResponse(Deadline deadline) {
   AFS_FAULT_POINT("core.link.recv");
-  return slot_.Collect(response_timeout_);
+  return slot_.Collect(deadline);
 }
 
 Result<ControlMessage> ThreadRendezvous::AF_GetControl() {

@@ -70,17 +70,12 @@ class PipeLink final : public sentinel::SentinelLink {
  public:
   explicit PipeLink(PipeLinkFds fds) : fds_(std::move(fds)) {}
 
-  Status AF_SendControl(const sentinel::ControlMessage& message)
+  // Each send leg waits until `deadline` or the stall bound
+  // (ipc::kStallTimeout), whichever comes first.
+  Status AF_SendControl(const sentinel::ControlMessage& message,
+                        Deadline deadline) AFS_NONBLOCKING override;
+  Result<sentinel::ControlResponse> AF_GetResponse(Deadline deadline)
       AFS_NONBLOCKING override;
-  Result<sentinel::ControlResponse> AF_GetResponse() AFS_NONBLOCKING
-      override;
-
-  // Bounds every AF_GetResponse wait: a sentinel that never answers costs
-  // the application kTimeout instead of a hang.  Non-positive (the default)
-  // waits forever.
-  void set_response_timeout(Micros timeout) noexcept {
-    response_timeout_ = timeout;
-  }
 
   // Installs the liveness lease this link renews whenever any frame —
   // heartbeat or real response — arrives from the sentinel.
@@ -118,14 +113,12 @@ class PipeLink final : public sentinel::SentinelLink {
  private:
   // For a shm-lane response, pulls its payload off the ring — into the
   // stashed destination spans of the op in flight when present, into
-  // response.payload otherwise.
-  Status AdoptResponse(sentinel::ControlResponse& response)
+  // response.payload otherwise — by `deadline` or the stall bound.
+  Status AdoptResponse(sentinel::ControlResponse& response, Deadline deadline)
       AFS_REQUIRES(read_mu_);
 
   // afs-lint: allow(guarded-member: fd table fixed at construction; read_mu_ serializes response readers)
   PipeLinkFds fds_;
-  // afs-lint: allow(guarded-member: configured before the link is shared)
-  Micros response_timeout_{0};
   // afs-lint: allow(guarded-member: configured before the link is shared)
   std::shared_ptr<Lease> lease_;
   // afs-lint: allow(guarded-member: configured before the link is shared; internally lock-free)
@@ -201,12 +194,13 @@ class PipeEndpoint final : public sentinel::SentinelEndpoint {
 // and lease renewal belong to the wrappers.
 class MailboxSlot {
  public:
-  // Application side.  Waits for the slot to be idle, then posts `message`
-  // (its inline lanes pass application buffers by reference).
+  // Application side.  Waits for the slot to be idle (it is at every send:
+  // a stub runs one op at a time), then posts `message` (its inline lanes
+  // pass application buffers by reference).
   Status Post(const sentinel::ControlMessage& message);
-  // Waits for the answer and frees the slot; kTimeout after `timeout`
-  // (non-positive waits forever), kClosed once latched with no answer.
-  Result<sentinel::ControlResponse> Collect(Micros timeout);
+  // Waits for the answer and frees the slot; kTimeout once `deadline`
+  // passes, kClosed once latched with no answer.
+  Result<sentinel::ControlResponse> Collect(Deadline deadline);
 
   // Sentinel side.  The posted command, waiting at most `wait` for one
   // (zero only looks): kTimeout when none came, kClosed once latched.  The
@@ -238,11 +232,13 @@ class ThreadRendezvous final : public sentinel::SentinelLink,
  public:
   ThreadRendezvous() = default;
 
-  // SentinelLink (application side).
-  Status AF_SendControl(const sentinel::ControlMessage& message)
+  // SentinelLink (application side).  The defaults serve callers that
+  // drive the rendezvous without a stub (benchmark probes).
+  Status AF_SendControl(const sentinel::ControlMessage& message,
+                        Deadline deadline = Deadline::Never())
       AFS_NONBLOCKING override;
-  Result<sentinel::ControlResponse> AF_GetResponse() AFS_NONBLOCKING
-      override;
+  Result<sentinel::ControlResponse> AF_GetResponse(
+      Deadline deadline = Deadline::Never()) AFS_NONBLOCKING override;
 
   // SentinelEndpoint (sentinel side).
   Result<sentinel::ControlMessage> AF_GetControl() AFS_NONBLOCKING override;
@@ -253,13 +249,6 @@ class ThreadRendezvous final : public sentinel::SentinelLink,
 
   // Wakes both sides with kClosed; further traffic fails.
   void Shutdown() { slot_.Close(); }
-
-  // Bounds the application's AF_GetResponse wait; kTimeout when the
-  // sentinel thread does not answer in time.  Non-positive waits forever.
-  // Configure before the sentinel thread starts.
-  void set_response_timeout(Micros timeout) noexcept {
-    response_timeout_ = timeout;
-  }
 
   // Installs the shared-memory lease the sentinel thread renews from
   // inside its waits (the in-process analogue of heartbeat frames).  The
@@ -272,7 +261,6 @@ class ThreadRendezvous final : public sentinel::SentinelLink,
 
  private:
   MailboxSlot slot_;
-  Micros response_timeout_{0};
   std::shared_ptr<Lease> lease_;
   Micros lease_interval_{0};
 };

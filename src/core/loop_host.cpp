@@ -67,7 +67,8 @@ LoopSession::~LoopSession() {
   SessionsGauge().Add(-1);
 }
 
-Status LoopSession::AF_SendControl(const ControlMessage& message) {
+Status LoopSession::AF_SendControl(const ControlMessage& message,
+                                   Deadline /*deadline*/) {
   AFS_FAULT_POINT("core.link.send");
   AFS_RETURN_IF_ERROR(slot_.Post(message));
   // The doorbell, not a dedicated thread: the command is a task on the
@@ -79,9 +80,9 @@ Status LoopSession::AF_SendControl(const ControlMessage& message) {
   return Status::Ok();
 }
 
-Result<ControlResponse> LoopSession::AF_GetResponse() {
+Result<ControlResponse> LoopSession::AF_GetResponse(Deadline deadline) {
   AFS_FAULT_POINT("core.link.recv");
-  return slot_.Collect(response_timeout_);
+  return slot_.Collect(deadline);
 }
 
 void LoopSession::ForceDown() {
@@ -231,14 +232,13 @@ int LoopHost::shard_count() const noexcept { return pool_.shard_count(); }
 
 Result<std::shared_ptr<LoopSession>> LoopHost::Open(
     std::unique_ptr<sentinel::Sentinel> sent, sentinel::SentinelContext ctx,
-    CacheAssembly cache, int shard_pin, Micros response_timeout,
-    Micros heartbeat_interval, std::shared_ptr<Lease> lease) {
+    CacheAssembly cache, int shard_pin, Micros heartbeat_interval,
+    std::shared_ptr<Lease> lease) {
   AFS_RETURN_IF_ERROR(pool_.Start());
   const std::size_t index = pool_.PickShard(shard_pin);
   EventLoop& shard = pool_.ShardAt(index);
   auto session = std::shared_ptr<LoopSession>(new LoopSession(
       shard, index, std::move(sent), std::move(ctx), std::move(cache)));
-  session->response_timeout_ = response_timeout;
   session->lease_ = std::move(lease);
   session->heartbeat_interval_ = heartbeat_interval;
   shard.Post([session] { session->ServiceOpen(); });

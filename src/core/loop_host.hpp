@@ -44,10 +44,10 @@ class LoopSession final : public sentinel::SentinelLink,
   LoopSession& operator=(const LoopSession&) = delete;
 
   // SentinelLink (application side).
-  Status AF_SendControl(const sentinel::ControlMessage& message)
+  Status AF_SendControl(const sentinel::ControlMessage& message,
+                        Deadline deadline) AFS_NONBLOCKING override;
+  Result<sentinel::ControlResponse> AF_GetResponse(Deadline deadline)
       AFS_NONBLOCKING override;
-  Result<sentinel::ControlResponse> AF_GetResponse() AFS_NONBLOCKING
-      override;
 
   // Supervisor's force-down: the loop analogue of SIGKILL.  Blocked
   // application waiters wake with kClosed; the sentinel is dropped without
@@ -98,7 +98,6 @@ class LoopSession final : public sentinel::SentinelLink,
   bool released_ = false;
 
   // Configured before the session is shared (LoopHost::Open).
-  Micros response_timeout_{0};
   std::shared_ptr<Lease> lease_;
   Micros heartbeat_interval_{0};
 
@@ -130,8 +129,8 @@ class LoopHost {
   // for the banner via AF_GetResponse.
   Result<std::shared_ptr<LoopSession>> Open(
       std::unique_ptr<sentinel::Sentinel> sent, sentinel::SentinelContext ctx,
-      CacheAssembly cache, int shard_pin, Micros response_timeout,
-      Micros heartbeat_interval, std::shared_ptr<Lease> lease);
+      CacheAssembly cache, int shard_pin, Micros heartbeat_interval,
+      std::shared_ptr<Lease> lease);
 
   // The admission gate guarding shard `index`'s run queue: the byte budget
   // from AFS_LOOP_MAX_QUEUE_BYTES, shared by the shard's co-tenants and

@@ -1,7 +1,6 @@
 #include "core/overload.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 
 #include "obs/metrics.hpp"
@@ -68,7 +67,7 @@ bool AdmissionConfigured(const AdmissionGate::Limits& limits) noexcept {
 }
 
 Status AdmitWithPolicy(AdmissionGate& gate, std::size_t cost,
-                       OverloadPolicy policy, Micros block_bound) {
+                       OverloadPolicy policy, Deadline deadline) {
   // kBrownout's grace: long enough for a draining queue to free capacity,
   // short enough that a saturated one still sheds promptly.
   constexpr Micros kBrownoutGrace{5'000};
@@ -77,10 +76,12 @@ Status AdmitWithPolicy(AdmissionGate& gate, std::size_t cost,
     case OverloadPolicy::kShed:
       return gate.Admit(cost);
     case OverloadPolicy::kBrownout:
-      return gate.AdmitFor(cost, kBrownoutGrace);
+      return gate.AdmitFor(cost,
+                           std::min(deadline, Deadline::In(kBrownoutGrace)));
     case OverloadPolicy::kBlock:
-      return gate.AdmitFor(
-          cost, block_bound.count() > 0 ? block_bound : kDefaultBlockBound);
+      return gate.AdmitFor(cost, deadline.never()
+                                     ? Deadline::In(kDefaultBlockBound)
+                                     : deadline);
   }
   return gate.Admit(cost);
 }
@@ -160,9 +161,7 @@ Status AdmissionGate::Admit(std::size_t bytes) {
   return Status::Ok();
 }
 
-Status AdmissionGate::AdmitFor(std::size_t bytes, Micros timeout) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(timeout.count());
+Status AdmissionGate::AdmitFor(std::size_t bytes, Deadline deadline) {
   MutexLock lock(mu_);
   Micros retry_after{0};
   while (true) {
@@ -172,13 +171,9 @@ Status AdmissionGate::AdmitFor(std::size_t bytes, Micros timeout) {
       AddQueueBytes(static_cast<std::int64_t>(bytes));
       return Status::Ok();
     }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return ShedLocked(retry_after);
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::microseconds>(deadline - now);
-    const auto slice = std::min<std::chrono::microseconds>(
-        remaining, std::chrono::microseconds(kBlockWaitSlice.count()));
-    (void)capacity_.WaitUntil(mu_, now + slice);
+    const Micros slice = deadline.Slice(kBlockWaitSlice);
+    if (slice.count() <= 0) return ShedLocked(retry_after);
+    (void)capacity_.WaitUntil(mu_, Deadline::In(slice).at());
   }
 }
 

@@ -62,10 +62,10 @@ class AdmissionGate {
   // the returned hint slot) means shed: nothing was charged.
   Status Admit(std::size_t bytes);
 
-  // Blocking variant for the kBlock policy: waits for byte capacity up to
-  // `timeout` before shedding.  Rate-limiter shortfalls also wait (in
+  // Blocking variant for the kBlock policy: waits for byte capacity until
+  // `deadline` before shedding.  Rate-limiter shortfalls also wait (in
   // slices) while the bucket refills.
-  Status AdmitFor(std::size_t bytes, Micros timeout);
+  Status AdmitFor(std::size_t bytes, Deadline deadline);
 
   void Release(std::size_t bytes);
 
@@ -93,11 +93,12 @@ AdmissionGate::Limits AdmissionLimitsFromSpec(
 // True when any budget in `limits` is actually bounding.
 bool AdmissionConfigured(const AdmissionGate::Limits& limits) noexcept;
 
-// Policy-shaped admission: kShed fails fast, kBrownout grants a short
-// grace wait before shedding, kBlock waits out `block_bound` (falling back
-// to one second when the op carries no deadline).
+// Policy-shaped admission against the op's `deadline`: kShed fails fast,
+// kBrownout grants a short grace wait before shedding, kBlock waits until
+// the deadline (one second when the op carries none).  Whatever the wait
+// spends is gone from the op's budget for the crossing that follows.
 Status AdmitWithPolicy(AdmissionGate& gate, std::size_t cost,
-                       OverloadPolicy policy, Micros block_bound);
+                       OverloadPolicy policy, Deadline deadline);
 
 // Bytes one control op charges against an AdmissionGate: a fixed framing
 // overhead plus the larger of the bulk lanes it moves (writes charge their

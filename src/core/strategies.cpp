@@ -131,10 +131,6 @@ std::unique_ptr<AdmissionGate> LinkGate(const OpenRequest& request) {
   return std::make_unique<AdmissionGate>(limits);
 }
 
-// Bound on one shm-ring stream leg (mirrors the pipe bound in links.cpp):
-// ten seconds of a full/empty ring means the peer stopped participating.
-constexpr Micros kRingIoTimeout{10'000'000};
-
 // Poll cadence for ring-mode stream reads: each elapsed slice re-checks
 // peer liveness before re-arming the wait.
 constexpr Micros kRingPollSlice{200'000};
@@ -201,7 +197,7 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
         link_gate_(LinkGate(request)),
         gates_{link_gate_.get(), shard_gate},
         policy_(policy),
-        deadline_(OpTimeout(request)),
+        budget_(OpTimeout(request)),
         cleanup_(std::move(cleanup)) {}
 
   ~LinkHandle() override {
@@ -341,6 +337,9 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
       AFS_NONBLOCKING AFS_REQUIRES(mu_) {
     if (closed_) return ClosedError("handle closed");
     if (poisoned_) return ClosedError("handle poisoned by transport failure");
+    // The op's one deadline: admission, the send legs and the response
+    // wait all spend from it.
+    const Deadline deadline = Deadline::In(budget_);
     // The link leg of the trace: the sentinel parents its own span on this
     // one (the ids travel in the control message), and the spans it ships
     // back in the response are adopted below — after this hop the local
@@ -365,20 +364,20 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
     // survives to retry it.  Teardown ops are exempt — a shed close
     // leaks.  The charge is released once, when the exchange returns,
     // however it ends (answer, timeout, poison, kClosed).
-    if (AdmissionExempt(msg.op)) return Exchange(msg);
+    if (AdmissionExempt(msg.op)) return Exchange(msg, deadline);
     const std::size_t cost = ControlMessageCost(msg);
-    AFS_RETURN_IF_ERROR(Admit(cost));
-    Result<ControlResponse> resp = Exchange(msg);
+    AFS_RETURN_IF_ERROR(Admit(cost, deadline));
+    Result<ControlResponse> resp = Exchange(msg, deadline);
     Release(cost, gates_.size());
     return resp;
   }
 
   // Charges `cost` to every gate in order; a shed gives the charge back to
   // the gates already passed and fails the op with the shed status.
-  Status Admit(std::size_t cost) AFS_REQUIRES(mu_) {
+  Status Admit(std::size_t cost, Deadline deadline) AFS_REQUIRES(mu_) {
     for (std::size_t i = 0; i < gates_.size(); ++i) {
       if (gates_[i] == nullptr) continue;
-      Status admitted = AdmitWithPolicy(*gates_[i], cost, policy_, deadline_);
+      Status admitted = AdmitWithPolicy(*gates_[i], cost, policy_, deadline);
       if (!admitted.ok()) {
         Release(cost, i);
         return admitted;
@@ -395,11 +394,12 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
   }
 
   // The crossing itself: the link carries the command and its answer.
-  Result<ControlResponse> Exchange(const ControlMessage& msg)
+  Result<ControlResponse> Exchange(const ControlMessage& msg,
+                                   Deadline deadline)
       AFS_NONBLOCKING AFS_REQUIRES(mu_) {
-    Status sent = link_->AF_SendControl(msg);
+    Status sent = link_->AF_SendControl(msg, deadline);
     if (!sent.ok()) return Poison(std::move(sent));
-    Result<ControlResponse> resp = link_->AF_GetResponse();
+    Result<ControlResponse> resp = link_->AF_GetResponse(deadline);
     if (!resp.ok()) return Poison(resp.status());
     if (cache_channel_ != nullptr) {
       // Every decoded answer re-arms (or revokes) the client's lease —
@@ -474,7 +474,7 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
   const std::unique_ptr<AdmissionGate> link_gate_;
   const std::array<AdmissionGate*, 2> gates_;
   const OverloadPolicy policy_;
-  const Micros deadline_;  // the op deadline; also bounds a kBlock wait
+  const Micros budget_;  // op_timeout_ms; zero means no deadline
   std::function<void()> cleanup_ AFS_GUARDED_BY(mu_);
   bool closed_ AFS_GUARDED_BY(mu_) = false;
   bool poisoned_ AFS_GUARDED_BY(mu_) = false;
@@ -621,24 +621,16 @@ class ProcessHandle final : public vfs::FileHandle {
     // Raw byte stream, no control frames: the trace cannot cross into the
     // sentinel here, so this app-side span is the leaf of the trace.
     obs::Span span("link.stream.read");
+    const Deadline deadline = Deadline::In(read_timeout_);
     if (ring_) {
       // Ring mode: bytes only ever travel the ring; the pipes stay open
       // purely as liveness probes.  Each elapsed slice re-checks the
       // outbound pipe — it turns readable (EOF) exactly when a sentinel
       // died without closing the ring.
-      const bool bounded = read_timeout_.count() > 0;
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(read_timeout_.count());
       while (true) {
-        Micros slice = kRingPollSlice;
-        if (bounded) {
-          const auto left =
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  deadline - std::chrono::steady_clock::now());
-          if (left.count() <= 0) {
-            return TimeoutError("stream sentinel stopped producing");
-          }
-          slice = std::min(slice, Micros{left.count()});
+        const Micros slice = deadline.Slice(kRingPollSlice);
+        if (slice.count() <= 0) {
+          return TimeoutError("stream sentinel stopped producing");
         }
         Result<std::size_t> n =
             ring_->ReadSome(ipc::ShmRing::kToApp, out, slice);
@@ -649,7 +641,7 @@ class ProcessHandle final : public vfs::FileHandle {
     }
     // A sentinel that stops producing must cost kTimeout, not a hang; a
     // dead one closes its end and the read below reports EOF.
-    AFS_RETURN_IF_ERROR(from_sentinel_.WaitReadable(read_timeout_));
+    AFS_RETURN_IF_ERROR(from_sentinel_.WaitReadable(deadline));
     return from_sentinel_.ReadSome(out);
   }
 
@@ -659,7 +651,7 @@ class ProcessHandle final : public vfs::FileHandle {
     obs::Span span("link.stream.write");
     if (ring_) {
       AFS_RETURN_IF_ERROR(
-          ring_->Write(ipc::ShmRing::kToSentinel, data, kRingIoTimeout));
+          ring_->Write(ipc::ShmRing::kToSentinel, data, ipc::kStallTimeout));
       return data.size();
     }
     AFS_RETURN_IF_ERROR(to_sentinel_.WriteAll(data));
@@ -721,7 +713,8 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenLinkHandle(
   auto handle = std::make_unique<LinkHandle>(link, std::move(keepalive),
                                              std::move(cleanup), request,
                                              policy, shard_gate);
-  Result<ControlResponse> banner = link->AF_GetResponse();
+  Result<ControlResponse> banner =
+      link->AF_GetResponse(Deadline::In(OpTimeout(request)));
   if (!banner.ok() || !banner->status.ok()) {
     handle->Abort();
     return banner.ok() ? banner->status : banner.status();
@@ -763,7 +756,6 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenThread(
   AFS_ASSIGN_OR_RETURN(res->sent, registry.Create(request.spec));
   res->ctx = BuildContext(request, res->cache);
 
-  res->rendezvous.set_response_timeout(OpTimeout(request));
   if (probe != nullptr && request.heartbeat_interval.count() > 0) {
     // In-process lease: the sentinel thread stamps shared memory from
     // inside its waits — no frames involved.
@@ -824,7 +816,7 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenLoop(
   AFS_ASSIGN_OR_RETURN(
       std::shared_ptr<LoopSession> session,
       host.Open(std::move(sent), std::move(ctx), std::move(cache), shard_pin,
-                OpTimeout(request), request.heartbeat_interval, lease));
+                request.heartbeat_interval, lease));
   if (probe != nullptr) {
     probe->lease = std::move(lease);
     probe->force_down = [session] { session->ForceDown(); };
@@ -857,7 +849,6 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
   AFS_ASSIGN_OR_RETURN(auto pipes, CreatePipePair());
   auto res = std::make_shared<Resources>();
   res->link = std::make_unique<PipeLink>(std::move(pipes.first));
-  res->link->set_response_timeout(OpTimeout(request));
 
   std::shared_ptr<Lease> lease;
   if (probe != nullptr && request.heartbeat_interval.count() > 0) {
@@ -1054,7 +1045,7 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcess(
         }
       };
       io.write_to_app = [&](ByteSpan data) {
-        return ring->Write(ipc::ShmRing::kToApp, data, kRingIoTimeout);
+        return ring->Write(ipc::ShmRing::kToApp, data, ipc::kStallTimeout);
       };
       io.finish_output = [&]() {
         ring->CloseDir(ipc::ShmRing::kToApp);

@@ -50,15 +50,15 @@ const bool kMetricsRegisteredEarly = [] {
 
 }  // namespace
 
-Status WriteFrame(PipeEnd& pipe, ByteSpan payload, Micros timeout) {
+Status WriteFrame(PipeEnd& pipe, ByteSpan payload, Deadline deadline) {
   FrameMetrics& metrics = WriteMetrics();
   AFS_FAULT_POINT("ipc.frame.write");
   Buffer header;
   header.reserve(4);
   AppendU32(header, static_cast<std::uint32_t>(payload.size()));
-  AFS_RETURN_IF_ERROR(pipe.WriteAll(header, timeout));
+  AFS_RETURN_IF_ERROR(pipe.WriteAll(header, deadline));
   if (!payload.empty()) {
-    AFS_RETURN_IF_ERROR(pipe.WriteAll(payload, timeout));
+    AFS_RETURN_IF_ERROR(pipe.WriteAll(payload, deadline));
   }
   metrics.frames.Add(1);
   metrics.bytes.Add(4 + payload.size());
@@ -67,14 +67,15 @@ Status WriteFrame(PipeEnd& pipe, ByteSpan payload, Micros timeout) {
 
 namespace {
 
-Result<Buffer> ReadFrameBody(PipeEnd& pipe, Micros timeout) {
+Result<Buffer> ReadFrameBody(PipeEnd& pipe, Deadline deadline) {
   std::uint8_t header[4];
   // Distinguish clean EOF (peer done) from truncation: read the first byte
   // separately.
   AFS_ASSIGN_OR_RETURN(std::size_t first,
-                       pipe.ReadSome(MutableByteSpan(header, 1), timeout));
+                       pipe.ReadSome(MutableByteSpan(header, 1), deadline));
   if (first == 0) return ClosedError("frame stream ended");
-  AFS_RETURN_IF_ERROR(pipe.ReadExact(MutableByteSpan(header + 1, 3), timeout));
+  AFS_RETURN_IF_ERROR(
+      pipe.ReadExact(MutableByteSpan(header + 1, 3), deadline));
 
   std::uint32_t len = 0;
   for (int i = 0; i < 4; ++i) {
@@ -86,16 +87,16 @@ Result<Buffer> ReadFrameBody(PipeEnd& pipe, Micros timeout) {
   }
   Buffer payload(len);
   if (len > 0) {
-    AFS_RETURN_IF_ERROR(pipe.ReadExact(MutableByteSpan(payload), timeout));
+    AFS_RETURN_IF_ERROR(pipe.ReadExact(MutableByteSpan(payload), deadline));
   }
   return payload;
 }
 
 }  // namespace
 
-Result<Buffer> ReadFrame(PipeEnd& pipe, Micros timeout) {
+Result<Buffer> ReadFrame(PipeEnd& pipe, Deadline deadline) {
   AFS_FAULT_POINT("ipc.frame.read");
-  Result<Buffer> payload = ReadFrameBody(pipe, timeout);
+  Result<Buffer> payload = ReadFrameBody(pipe, deadline);
   if (!payload.ok()) {
     if (payload.status().code() == ErrorCode::kTimeout) ReadTimeouts().Add(1);
     return payload;

@@ -16,15 +16,17 @@ namespace afs::ipc {
 inline constexpr std::size_t kMaxFrameBytes = 16 * 1024 * 1024;
 
 // Writes a u32 little-endian length followed by the payload.  On a
-// non-blocking end every stall against a full pipe waits at most `timeout`
-// (kTimeout when the peer stops draining); non-positive = unbounded.
-Status WriteFrame(PipeEnd& pipe, ByteSpan payload, Micros timeout = Micros{0});
+// non-blocking end the whole frame is written by `deadline` (kTimeout
+// when the peer stops draining).
+Status WriteFrame(PipeEnd& pipe, ByteSpan payload,
+                  Deadline deadline = Deadline::Never());
 
 // Reads one frame; kClosed at clean EOF (no partial frame read), kProtocol
 // on oversized length, kClosed on truncation mid-frame.  On a non-blocking
-// end every wait — for the frame to start and for the rest of its body —
-// is capped by `timeout` (kTimeout otherwise); non-positive = unbounded.
-Result<Buffer> ReadFrame(PipeEnd& pipe, Micros timeout = Micros{0});
+// end the whole frame — its start and the rest of its body — is read by
+// `deadline` (kTimeout otherwise): a peer that trickles bytes cannot
+// stretch the bound.
+Result<Buffer> ReadFrame(PipeEnd& pipe, Deadline deadline = Deadline::Never());
 
 // Incremental frame reassembly for event-loop transports: feed whatever
 // bytes arrived (Append), pop complete frames (Next).  The push-mode twin

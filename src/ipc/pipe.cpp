@@ -13,17 +13,14 @@ namespace afs::ipc {
 
 namespace {
 
-// poll(2) on one descriptor; a non-positive timeout waits forever.
-Status WaitFor(int fd, short events, Micros timeout, const char* timeout_msg) {
+// poll(2) on one descriptor until `deadline`.
+Status WaitFor(int fd, short events, Deadline deadline,
+               const char* timeout_msg) {
   pollfd pfd{};
   pfd.fd = fd;
   pfd.events = events;
-  // Round up so sub-millisecond timeouts do not busy-spin at zero.
-  const int millis =
-      timeout.count() > 0 ? static_cast<int>((timeout.count() + 999) / 1000)
-                          : -1;
   while (true) {
-    const int rc = ::poll(&pfd, 1, millis);
+    const int rc = ::poll(&pfd, 1, deadline.PollMillis());
     // Ready, EOF, or error — the transfer that follows sees which.
     if (rc > 0) return Status::Ok();
     if (rc == 0) return TimeoutError(timeout_msg);
@@ -50,7 +47,8 @@ Status PipeEnd::SetCloexec() {
   return Status::Ok();
 }
 
-Result<std::size_t> PipeEnd::ReadSome(MutableByteSpan out, Micros timeout) {
+Result<std::size_t> PipeEnd::ReadSome(MutableByteSpan out,
+                                      Deadline deadline) {
   if (!valid()) return ClosedError("read on closed pipe end");
   AFS_FAULT_POINT("ipc.pipe.read");
   // A truncate fault shortens the transfer; truncating to zero makes the
@@ -61,21 +59,21 @@ Result<std::size_t> PipeEnd::ReadSome(MutableByteSpan out, Micros timeout) {
     if (n >= 0) return static_cast<std::size_t>(n);
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      AFS_RETURN_IF_ERROR(WaitReadable(timeout));
+      AFS_RETURN_IF_ERROR(WaitReadable(deadline));
       continue;
     }
     return IoError(std::string("pipe read: ") + std::strerror(errno));
   }
 }
 
-Status PipeEnd::WaitReadable(Micros timeout) const {
+Status PipeEnd::WaitReadable(Deadline deadline) const {
   if (!valid()) return ClosedError("wait on closed pipe end");
-  return WaitFor(fd_, POLLIN, timeout, "pipe read timed out");
+  return WaitFor(fd_, POLLIN, deadline, "pipe read timed out");
 }
 
-Status PipeEnd::WaitWritable(Micros timeout) const {
+Status PipeEnd::WaitWritable(Deadline deadline) const {
   if (!valid()) return ClosedError("wait on closed pipe end");
-  return WaitFor(fd_, POLLOUT, timeout, "pipe write timed out");
+  return WaitFor(fd_, POLLOUT, deadline, "pipe write timed out");
 }
 
 Status PipeEnd::SetNonblocking() {
@@ -114,17 +112,17 @@ Result<bool> PipeEnd::Poll() const {
   }
 }
 
-Status PipeEnd::ReadExact(MutableByteSpan out, Micros timeout) {
+Status PipeEnd::ReadExact(MutableByteSpan out, Deadline deadline) {
   std::size_t done = 0;
   while (done < out.size()) {
-    AFS_ASSIGN_OR_RETURN(std::size_t n, ReadSome(out.subspan(done), timeout));
+    AFS_ASSIGN_OR_RETURN(std::size_t n, ReadSome(out.subspan(done), deadline));
     if (n == 0) return ClosedError("pipe peer closed mid-message");
     done += n;
   }
   return Status::Ok();
 }
 
-Status PipeEnd::WriteAll(ByteSpan bytes, Micros timeout) {
+Status PipeEnd::WriteAll(ByteSpan bytes, Deadline deadline) {
   if (!valid()) return ClosedError("write on closed pipe end");
   AFS_FAULT_POINT("ipc.pipe.write");
   // A truncate fault ships a partial payload and then fails as if the
@@ -141,7 +139,7 @@ Status PipeEnd::WriteAll(ByteSpan bytes, Micros timeout) {
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      AFS_RETURN_IF_ERROR(WaitWritable(timeout));
+      AFS_RETURN_IF_ERROR(WaitWritable(deadline));
       continue;
     }
     if (errno == EPIPE) return ClosedError("pipe peer closed");

@@ -14,6 +14,11 @@
 
 namespace afs::ipc {
 
+// Bound on a transfer leg that no earlier op deadline covers: legs take
+// microseconds while the peer is alive, so ten seconds of a full or empty
+// pipe, ring or socket means the peer is gone — kTimeout, not a hang.
+inline constexpr Micros kStallTimeout{10'000'000};
+
 // One end (read or write) of a pipe; owns the file descriptor.
 class PipeEnd {
  public:
@@ -45,27 +50,28 @@ class PipeEnd {
   Status SetCloexec();
 
   // Reads at least one byte, or 0 at EOF (peer closed).  On a
-  // non-blocking end an empty pipe waits for data up to `timeout`
-  // (kTimeout when it passes first); a non-positive timeout waits forever.
-  // On a blocking end the read(2) itself waits.
-  Result<std::size_t> ReadSome(MutableByteSpan out, Micros timeout = Micros{0});
+  // non-blocking end an empty pipe waits for data until `deadline`
+  // (kTimeout when it passes first).  On a blocking end the read(2)
+  // itself waits.
+  Result<std::size_t> ReadSome(MutableByteSpan out,
+                               Deadline deadline = Deadline::Never());
 
-  // Blocks until the descriptor is readable (data or EOF pending).  A
-  // non-positive timeout waits forever; kTimeout when the deadline passes
-  // first.  This is the deadline primitive under every bounded read path —
-  // a wedged sentinel must cost the application a timeout, never a hang.
-  Status WaitReadable(Micros timeout) const;
+  // Blocks until the descriptor is readable (data or EOF pending);
+  // kTimeout when the deadline passes first.  This is the deadline
+  // primitive under every bounded read path — a wedged sentinel must cost
+  // the application a timeout, never a hang.
+  Status WaitReadable(Deadline deadline) const;
 
   // Non-blocking readability probe: true when data (or EOF) is already
   // pending, false when a read would block.  Lets a monitor thread drain
   // heartbeat frames without ever stalling on an idle pipe.
   Result<bool> Poll() const;
 
-  // Blocks until the descriptor accepts bytes without blocking (POLLOUT).
-  // A non-positive timeout waits forever; kTimeout when the deadline
-  // passes first — the writer-side twin of WaitReadable, and the deadline
-  // primitive under every bounded write path.
-  Status WaitWritable(Micros timeout) const;
+  // Blocks until the descriptor accepts bytes without blocking (POLLOUT);
+  // kTimeout when the deadline passes first — the writer-side twin of
+  // WaitReadable, and the deadline primitive under every bounded write
+  // path.
+  Status WaitWritable(Deadline deadline) const;
 
   // Sets O_NONBLOCK.  The flag lives on the open file description, so it
   // survives fork and exec.  Link pipes and client sockets run this way:
@@ -74,15 +80,15 @@ class PipeEnd {
   Status SetNonblocking();
 
   // Reads exactly out.size() bytes or fails (kClosed on premature EOF).
-  // On a non-blocking end each wait for more bytes is capped by `timeout`
-  // (non-positive = unbounded).
-  Status ReadExact(MutableByteSpan out, Micros timeout = Micros{0});
+  // On a non-blocking end the whole read ends by `deadline`: a peer that
+  // trickles bytes cannot stretch it.
+  Status ReadExact(MutableByteSpan out, Deadline deadline = Deadline::Never());
 
   // Writes all bytes, retrying on short writes and EINTR.  On a
-  // non-blocking end every EAGAIN waits at most `timeout` for POLLOUT
-  // (non-positive = unbounded); kTimeout means the peer stopped draining —
-  // a wedged sentinel must cost the writer a timeout, never a hang.
-  Status WriteAll(ByteSpan bytes, Micros timeout = Micros{0});
+  // non-blocking end the whole write ends by `deadline`; kTimeout means
+  // the peer stopped draining — a wedged sentinel must cost the writer a
+  // timeout, never a hang.
+  Status WriteAll(ByteSpan bytes, Deadline deadline = Deadline::Never());
 
  private:
   int fd_ = -1;

@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <climits>
 #include <cstring>
 #include <new>
@@ -26,9 +25,8 @@ constexpr std::uint32_t kLayoutVersion = 1;
 constexpr std::size_t kMinRingBytes = 4 * 1024;
 constexpr std::size_t kMaxRingBytes = 64 * 1024 * 1024;
 
-// Futex wait slice when the caller opted out of a deadline: the wait stays
-// a chain of bounded parks so a vanished peer is re-checked, never slept
-// on forever.
+// Longest single futex park: even a wait with no deadline stays a chain of
+// bounded parks, so a vanished peer is re-checked, never slept on forever.
 constexpr Micros kWaitSlice{200'000};
 
 Status Errno(const char* what) {
@@ -184,7 +182,7 @@ std::size_t ShmRing::ring_bytes() const noexcept {
   return static_cast<std::size_t>(region()->ring_bytes);
 }
 
-Status ShmRing::Write(int dir, ByteSpan bytes, Micros timeout) {
+Status ShmRing::Write(int dir, ByteSpan bytes, Deadline deadline) {
   static obs::Counter& shm_bytes =
       obs::Registry::Global().GetCounter("ipc.shm.bytes");
   static obs::Counter& shm_ops =
@@ -199,10 +197,6 @@ Status ShmRing::Write(int dir, ByteSpan bytes, Micros timeout) {
   // announcing control frame already consumed.
   const std::size_t allowed = AFS_FAULT_TRUNCATE("ipc.shm.torn_write",
                                                  bytes.size());
-  const bool bounded = timeout.count() > 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::microseconds(timeout.count());
   std::size_t done = 0;
   shm_ops.Add(1);
   while (done < allowed) {
@@ -220,16 +214,10 @@ Status ShmRing::Write(int dir, ByteSpan bytes, Micros timeout) {
       // and here bumped seq, so the futex wait returns immediately.
       if (d.head.load(std::memory_order_acquire) == head &&
           d.closed.load(std::memory_order_acquire) == 0) {
-        Micros slice = kWaitSlice;
-        if (bounded) {
-          const auto left =
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  deadline - std::chrono::steady_clock::now());
-          if (left.count() <= 0) {
-            shm_bytes.Add(done);
-            return TimeoutError("shm ring full: peer stopped draining");
-          }
-          slice = std::min(kWaitSlice, Micros{left.count()});
+        const Micros slice = deadline.Slice(kWaitSlice);
+        if (slice.count() <= 0) {
+          shm_bytes.Add(done);
+          return TimeoutError("shm ring full: peer stopped draining");
         }
         FutexWaitSlice(&d.seq, seq, slice);
       }
@@ -254,7 +242,7 @@ Status ShmRing::Write(int dir, ByteSpan bytes, Micros timeout) {
 }
 
 Result<std::size_t> ShmRing::ReadSome(int dir, MutableByteSpan out,
-                                      Micros timeout) {
+                                      Deadline deadline) {
   static obs::Counter& shm_ops =
       obs::Registry::Global().GetCounter("ipc.shm.ops");
   if (out.empty()) return std::size_t{0};
@@ -268,10 +256,6 @@ Result<std::size_t> ShmRing::ReadSome(int dir, MutableByteSpan out,
   const std::size_t cap = static_cast<std::size_t>(r->ring_bytes);
   const std::uint8_t* data = r->data(dir);
 
-  const bool bounded = timeout.count() > 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::microseconds(timeout.count());
   while (true) {
     const std::uint64_t tail = d.tail.load(std::memory_order_acquire);
     // Single reader per direction: our own head needs no ordering.
@@ -297,25 +281,20 @@ Result<std::size_t> ShmRing::ReadSome(int dir, MutableByteSpan out,
         d.closed.load(std::memory_order_acquire) != 0) {
       continue;  // produced or closed while capturing the eventcount
     }
-    Micros slice = kWaitSlice;
-    if (bounded) {
-      const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-          deadline - std::chrono::steady_clock::now());
-      if (left.count() <= 0) {
-        return TimeoutError("shm ring empty: peer stopped producing");
-      }
-      slice = std::min(kWaitSlice, Micros{left.count()});
+    const Micros slice = deadline.Slice(kWaitSlice);
+    if (slice.count() <= 0) {
+      return TimeoutError("shm ring empty: peer stopped producing");
     }
     FutexWaitSlice(&d.seq, seq, slice);
   }
 }
 
-Status ShmRing::ReadExact(int dir, MutableByteSpan out, Micros timeout) {
+Status ShmRing::ReadExact(int dir, MutableByteSpan out, Deadline deadline) {
   std::size_t done = 0;
   while (done < out.size()) {
     AFS_ASSIGN_OR_RETURN(
         std::size_t n,
-        ReadSome(dir, out.subspan(done, out.size() - done), timeout));
+        ReadSome(dir, out.subspan(done, out.size() - done), deadline));
     if (n == 0) return ClosedError("shm ring ended mid-message");
     done += n;
   }

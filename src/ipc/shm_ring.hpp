@@ -62,20 +62,22 @@ class ShmRing {
   // Capacity of one direction's ring in bytes.
   std::size_t ring_bytes() const noexcept;
 
-  // Writes all of `bytes` into direction `dir`, futex-waiting (in bounded
-  // slices against `timeout`; non-positive = unbounded) while the ring is
-  // full.  kClosed if the direction is closed, kTimeout when the reader
-  // stopped draining.  Payloads larger than the ring capacity stream
-  // through it; the concurrent reader provides the space.
-  Status Write(int dir, ByteSpan bytes, Micros timeout);
+  // Writes all of `bytes` into direction `dir` by `deadline`,
+  // futex-waiting in bounded slices while the ring is full.  kClosed if
+  // the direction is closed, kTimeout when the reader stopped draining.
+  // Payloads larger than the ring capacity stream through it; the
+  // concurrent reader provides the space.
+  Status Write(int dir, ByteSpan bytes, Deadline deadline);
 
-  // Blocks (bounded by `timeout`) until direction `dir` has at least one
-  // byte or its write side closed; returns 0 only at end-of-stream (closed
-  // and drained).
-  Result<std::size_t> ReadSome(int dir, MutableByteSpan out, Micros timeout);
+  // Blocks (until `deadline`) until direction `dir` has at least one byte
+  // or its write side closed; returns 0 only at end-of-stream (closed and
+  // drained).
+  Result<std::size_t> ReadSome(int dir, MutableByteSpan out,
+                               Deadline deadline);
 
-  // Reads exactly out.size() bytes; kClosed on premature end-of-stream.
-  Status ReadExact(int dir, MutableByteSpan out, Micros timeout);
+  // Reads exactly out.size() bytes by `deadline`, however the writer
+  // paces them; kClosed on premature end-of-stream.
+  Status ReadExact(int dir, MutableByteSpan out, Deadline deadline);
 
   // Signals end-of-stream on one direction: readers drain then see EOF,
   // writers fail with kClosed.  Idempotent.

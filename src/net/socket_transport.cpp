@@ -1,5 +1,6 @@
 #include "net/socket_transport.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -30,12 +31,6 @@ Status FillSockaddr(const std::string& path, sockaddr_un& addr) {
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   return Status::Ok();
 }
-
-// Bound on any client-side transport leg not covered by an operator-
-// configured call timeout (non-blocking connect completion, request
-// send).  Mirrors the pipe layer's default: seconds of an unresponsive
-// peer means it is gone, and kTimeout beats a parked caller.
-constexpr Micros kSocketIoTimeout{10'000'000};
 
 }  // namespace
 
@@ -302,7 +297,7 @@ SocketClient::SocketClient(std::string socket_path, Options options)
 
 SocketClient::~SocketClient() { Disconnect(); }
 
-Status SocketClient::EnsureConnected() {
+Status SocketClient::EnsureConnected(Deadline deadline) {
   if (fd_ >= 0) return Status::Ok();
   static obs::Counter& connects =
       obs::Registry::Global().GetCounter("net.socket.connects");
@@ -314,9 +309,6 @@ Status SocketClient::EnsureConnected() {
   if (fd_ < 0) {
     return IoError(std::string("socket: ") + std::strerror(errno));
   }
-  const Micros bound = options_.call_timeout.count() > 0
-                           ? options_.call_timeout
-                           : kSocketIoTimeout;
   // sockaddr_un -> sockaddr is the POSIX-sanctioned sockets-API pun.
   // NOLINTNEXTLINE(cppcoreguidelines-pro-type-reinterpret-cast)
   // afs-lint: allow(nonblocking: O_NONBLOCK connect; bounded by the WaitWritable deadline below)
@@ -329,7 +321,7 @@ Status SocketClient::EnsureConnected() {
     // Connect in flight: wait (bounded) for writability, then read the
     // kernel's verdict out of SO_ERROR.
     ipc::PipeEnd probe(fd_);
-    const Status ready = probe.WaitWritable(bound);
+    const Status ready = probe.WaitWritable(deadline);
     int so_error = 0;
     if (ready.ok()) {
       socklen_t len = sizeof(so_error);
@@ -348,7 +340,7 @@ Status SocketClient::EnsureConnected() {
     }
   }
   // The socket stays non-blocking: the framing layer turns each EAGAIN
-  // into a wait bounded by the call timeout.
+  // into a wait bounded by the call's deadline.
   return Status::Ok();
 }
 
@@ -360,20 +352,23 @@ void SocketClient::Disconnect() noexcept {
 }
 
 Result<Buffer> SocketClient::CallOnce(ByteSpan request) {
-  AFS_RETURN_IF_ERROR(EnsureConnected());
+  const Deadline deadline = Deadline::In(options_.call_timeout);
+  // Connect and send also end at the stall bound: a server that stopped
+  // accepting or draining costs kTimeout even when the call has no
+  // deadline.  Only the wait for the answer may be unbounded.
+  const Deadline send_by =
+      std::min(deadline, Deadline::In(ipc::kStallTimeout));
+  AFS_RETURN_IF_ERROR(EnsureConnected(send_by));
   AFS_FAULT_POINT("net.socket.call");
   // Borrow the fd for framing without transferring ownership.
   ipc::PipeEnd stream(fd_);
-  const Micros bound = options_.call_timeout.count() > 0
-                           ? options_.call_timeout
-                           : kSocketIoTimeout;
-  Status sent = ipc::WriteFrame(stream, request, bound);
+  Status sent = ipc::WriteFrame(stream, request, send_by);
   if (!sent.ok()) {
     (void)stream.Release();
     Disconnect();
     return sent;
   }
-  Result<Buffer> envelope = ipc::ReadFrame(stream, options_.call_timeout);
+  Result<Buffer> envelope = ipc::ReadFrame(stream, deadline);
   (void)stream.Release();
   if (!envelope.ok()) {
     Disconnect();

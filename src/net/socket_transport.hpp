@@ -124,7 +124,8 @@ class SocketClient final : public Transport {
     int max_retries = 2;
     Micros retry_backoff{1000};      // initial delay, doubles per retry
     Micros retry_backoff_cap{50000};
-    // Per-call response deadline; non-positive waits forever.
+    // Per-call deadline covering connect, send and receive; non-positive
+    // leaves the receive unbounded.
     Micros call_timeout{0};
   };
 
@@ -138,11 +139,11 @@ class SocketClient final : public Transport {
   Result<Buffer> Call(ByteSpan request) override;
 
  private:
-  Status EnsureConnected();
+  Status EnsureConnected(Deadline deadline);
   void Disconnect() noexcept;
   // One request/response exchange on the current (or a fresh) connection.
   // One connect+send+bounded-receive attempt (Call adds retry/backoff
-  // around it); the wait is capped by options_.call_timeout.
+  // around it), all of it ending by one options_.call_timeout deadline.
   Result<Buffer> CallOnce(ByteSpan request) AFS_NONBLOCKING;
 
   std::string path_;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include "common/bytes.hpp"
+#include "common/clock.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/status.hpp"
 #include "sentinel/control.hpp"
@@ -24,15 +25,18 @@ class SentinelLink {
  public:
   virtual ~SentinelLink() = default;
 
-  // Ships a command (and, for kWrite, its data) to the sentinel.
-  virtual Status AF_SendControl(const ControlMessage& message)
-      AFS_NONBLOCKING = 0;
+  // Ships a command (and, for kWrite, its data) to the sentinel; every
+  // wait it makes ends by `deadline`, the op's deadline.
+  virtual Status AF_SendControl(const ControlMessage& message,
+                                Deadline deadline) AFS_NONBLOCKING = 0;
 
-  // Waits for the sentinel's response to the last command.  The wait
-  // must be bounded by the link's response timeout (op_timeout_ms);
-  // implementations are AFS_NONBLOCKING so an event loop can multiplex
+  // Waits for the sentinel's response to the last command until
+  // `deadline` (kTimeout after): what is left of the op's one
+  // op_timeout_ms budget once admission and the send spent from it.
+  // Implementations are AFS_NONBLOCKING so an event loop can multiplex
   // them (see docs/STATIC_ANALYSIS.md).
-  virtual Result<ControlResponse> AF_GetResponse() AFS_NONBLOCKING = 0;
+  virtual Result<ControlResponse> AF_GetResponse(Deadline deadline)
+      AFS_NONBLOCKING = 0;
 };
 
 // Sentinel side.

@@ -171,5 +171,22 @@ TEST(ClockTest, ManualClockBlocksUntilAdvanced) {
   EXPECT_EQ(clock.Now(), Micros(1000));
 }
 
+// A non-positive budget, or one past the clock's range, is no deadline;
+// a finite one hands out what is left, capped per slice.
+TEST(DeadlineTest, BudgetsMapOntoNeverOrAnInstant) {
+  for (Micros budget : {Micros{0}, Micros{-5}, Micros::max()}) {
+    EXPECT_TRUE(Deadline::In(budget).never()) << budget.count();
+  }
+  EXPECT_EQ(Deadline::Never().PollMillis(), -1);
+  EXPECT_EQ(Deadline::Never().Slice(Micros{7}), Micros{7});
+  const Deadline soon = Deadline::In(Micros{50'000});
+  EXPECT_FALSE(soon.never());
+  EXPECT_GT(soon.PollMillis(), 0);
+  EXPECT_LE(soon.PollMillis(), 50);
+  EXPECT_EQ(soon.Slice(Micros{10}), Micros{10});
+  EXPECT_LE(soon.Slice(Micros{1'000'000}), Micros{50'000});
+  EXPECT_TRUE(soon < Deadline::Never());
+}
+
 }  // namespace
 }  // namespace afs

@@ -206,8 +206,8 @@ TEST(PipeLinkTest, CommandAndResponseCrossPipes) {
   msg.length = 5;
   const std::string payload = "hello";
   msg.inline_in = AsBytes(payload);
-  ASSERT_OK(link.AF_SendControl(msg));
-  auto resp = link.AF_GetResponse();
+  ASSERT_OK(link.AF_SendControl(msg, Deadline::Never()));
+  auto resp = link.AF_GetResponse(Deadline::Never());
   ASSERT_OK(resp.status());
   EXPECT_EQ(resp->number, 5u);
   sentinel_side.join();
@@ -254,8 +254,8 @@ TEST(PipeLinkTest, RingIsEmptyAtEverySend) {
     EXPECT_EQ((*ring)->buffered(ipc::ShmRing::kToApp), 0u) << after;
   };
   auto round_trip = [&](const ControlMessage& msg) {
-    EXPECT_OK(link.AF_SendControl(msg));
-    Result<ControlResponse> resp = link.AF_GetResponse();
+    EXPECT_OK(link.AF_SendControl(msg, Deadline::Never()));
+    Result<ControlResponse> resp = link.AF_GetResponse(Deadline::Never());
     EXPECT_OK(resp.status());
     if (!resp.ok()) return ControlResponse{};
     EXPECT_OK(resp->status);
@@ -274,7 +274,7 @@ TEST(PipeLinkTest, RingIsEmptyAtEverySend) {
     return table;
   };
 
-  Result<ControlResponse> banner = link.AF_GetResponse();
+  Result<ControlResponse> banner = link.AF_GetResponse(Deadline::Never());
   ASSERT_OK(banner.status());
   ASSERT_TRUE(banner->shm_ring);
   expect_ring_empty("banner");
@@ -337,6 +337,21 @@ TEST(PipeLinkTest, RingIsEmptyAtEverySend) {
   close.op = ControlOp::kClose;
   round_trip(close);
   sentinel_side.join();
+}
+
+// A finite deadline that has already passed is an immediate kTimeout —
+// never mistaken for "no deadline".
+TEST(MailboxSlotTest, ExpiredDeadlineTimesOutAtOnce) {
+  core::MailboxSlot slot;
+  ControlMessage msg;
+  msg.op = ControlOp::kGetSize;
+  ASSERT_OK(slot.Post(msg));
+  const Deadline passed = Deadline::In(Micros{1});
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(slot.Collect(passed).status().code(), ErrorCode::kTimeout);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(50));
 }
 
 TEST(ThreadRendezvousTest, InlineLanesPassUserBuffers) {

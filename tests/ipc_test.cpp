@@ -111,6 +111,47 @@ TEST(FramingTest, ReadFrameTimeoutBoundsTheBody) {
             ErrorCode::kTimeout);
 }
 
+// The bound covers the whole frame, not each wait inside it: a peer that
+// sends the header and then one body byte every 60 ms (each inside the
+// 100 ms budget on its own) still costs the reader kTimeout at ~100 ms.
+TEST(FramingTest, TricklingPeerCannotStretchABoundedRead) {
+  auto pipe = Pipe::Create();
+  ASSERT_OK(pipe.status());
+  ASSERT_OK(pipe->read_end.SetNonblocking());
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    Buffer header;
+    AppendU32(header, 8);
+    EXPECT_OK(pipe->write_end.WriteAll(ByteSpan(header)));
+    for (int i = 0; i < 8 && !stop.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(60));
+      EXPECT_OK(pipe->write_end.WriteAll(AsBytes("x")));
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const Result<Buffer> frame = ReadFrame(pipe->read_end, Micros{100'000});
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  stop.store(true);
+  writer.join();
+  EXPECT_EQ(frame.status().code(), ErrorCode::kTimeout);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(200));
+}
+
+// A finite deadline that has already passed is an immediate kTimeout —
+// never mistaken for "no deadline".
+TEST(FramingTest, ExpiredDeadlineTimesOutAtOnce) {
+  auto pipe = Pipe::Create();
+  ASSERT_OK(pipe.status());
+  ASSERT_OK(pipe->read_end.SetNonblocking());
+  const Deadline passed = Deadline::In(Micros{1});
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(ReadFrame(pipe->read_end, passed).status().code(),
+            ErrorCode::kTimeout);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(50));
+}
+
 TEST(FramingTest, RoundTripFrames) {
   auto pipe = Pipe::Create();
   ASSERT_OK(pipe.status());

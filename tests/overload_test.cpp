@@ -348,6 +348,62 @@ TEST(StrategyAdmissionTest, ProcessControlReleasesAnAbandonedOp) {
   RunAbandonedOpReleasesItsAdmission("process_control");
 }
 
+// op_timeout_ms is one budget per op, spent by admission and the crossing
+// together.  Under overload=block the second size query waits ~64 ms for
+// tokens (a 64-byte burst at 1000 B/s; the first query drained it), then
+// meets a 120 ms sentinel stall: 184 ms of work against a 150 ms budget
+// ends in kTimeout near 150 ms, instead of succeeding because admission
+// and the response wait each got a full budget.  The stalled op is a size
+// query: it references no application buffer a late answer could still
+// write into.
+void RunOpDeadlineSpansAdmissionAndService(const char* strategy) {
+  TempDir tmp;
+  vfs::FileApi api(tmp.path() + "/root");
+  sentinels::RegisterBuiltinSentinels();
+  core::ActiveFileManager manager(api, sentinel::SentinelRegistry::Global());
+  manager.Install();
+
+  SentinelSpec spec;
+  spec.name = "null";
+  spec.config["strategy"] = strategy;
+  spec.config["overload"] = "block";
+  spec.config["admit_bps"] = "1000";
+  spec.config["admit_burst"] = "64";
+  spec.config["op_timeout_ms"] = "150";
+  const std::string name = std::string(strategy) + "-deadline.af";
+  ASSERT_OK(manager.CreateActiveFile(name, spec, AsBytes("0123456789abcdef")));
+
+  obs::Gauge& loop_sessions =
+      obs::Registry::Global().GetGauge("core.loop.sessions");
+  const std::int64_t sessions_before = loop_sessions.Value();
+  {
+    auto plan =
+        fault::ParsePlan("seed=1;sentinel.dispatch.op=delay:120ms@n2");
+    ASSERT_OK(plan.status());
+    fault::ScopedFaultPlan scoped(std::move(*plan));
+    auto handle = api.OpenFile(name, vfs::OpenMode::kReadWrite);
+    ASSERT_OK(handle.status());
+    ASSERT_OK(api.GetFileSize(*handle).status());
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_STATUS_CODE(api.GetFileSize(*handle).status(), ErrorCode::kTimeout);
+    // Twice the budget leaves room for a sanitizer build's slower clock.
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(300));
+    (void)api.CloseHandle(*handle);
+  }
+  // A loop shard may still be serving the stalled op; let it wind the
+  // session down before the next strategy runs.
+  ASSERT_TRUE(test::PollUntil(
+      [&] { return loop_sessions.Value() <= sessions_before; }));
+}
+
+TEST(StrategyAdmissionTest, OpDeadlineSpansAdmissionAndService) {
+  for (const char* strategy : {"thread", "loop", "process_control"}) {
+    SCOPED_TRACE(strategy);
+    RunOpDeadlineSpansAdmissionAndService(strategy);
+  }
+}
+
 // A bad `overload` value fails the open before any sentinel exists: no
 // OnOpen runs (so no OnClose either) on the in-process command strategies,
 // and process_control fails before it spawns its child.  Checked at the

@@ -43,7 +43,7 @@ TEST(ProtocolRobustnessTest, GarbageControlFramesEndTheLoop) {
   });
 
   // Swallow the banner, then inject junk frames.
-  ASSERT_OK(link.AF_GetResponse().status());
+  ASSERT_OK(link.AF_GetResponse(Deadline::Never()).status());
   Prng prng(0xBAD);
   Buffer junk(23);
   prng.Fill(MutableByteSpan(junk));

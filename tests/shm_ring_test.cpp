@@ -201,6 +201,48 @@ TEST(ShmRingTest, CloseAfterProduceDrainsBeforeEof) {
       ErrorCode::kClosed);
 }
 
+// The bound covers the whole read, not each wait inside it: four bytes at
+// once, then one every 60 ms (each inside the 100 ms budget on its own),
+// still cost the reader kTimeout at ~100 ms.
+TEST(ShmRingTest, TricklingWriterCannotStretchABoundedRead) {
+  auto ring = SmallRing();
+  ASSERT_TRUE(ring.ok()) << ring.status().ToString();
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    EXPECT_OK((*ring)->Write(ShmRing::kToApp, AsBytes("head"), kGenerous));
+    for (int i = 0; i < 8 && !stop.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(60));
+      EXPECT_OK((*ring)->Write(ShmRing::kToApp, AsBytes("x"), kGenerous));
+    }
+  });
+  Buffer out(12);
+  const auto start = std::chrono::steady_clock::now();
+  const Status read =
+      (*ring)->ReadExact(ShmRing::kToApp, MutableByteSpan(out),
+                         Micros{100'000});
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  stop.store(true);
+  writer.join();
+  EXPECT_STATUS_CODE(read, ErrorCode::kTimeout);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(200));
+}
+
+// A finite deadline that has already passed is an immediate kTimeout —
+// never mistaken for "no deadline".
+TEST(ShmRingTest, ExpiredDeadlineTimesOutAtOnce) {
+  auto ring = SmallRing();
+  ASSERT_TRUE(ring.ok()) << ring.status().ToString();
+  const Deadline passed = Deadline::In(Micros{1});
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  Buffer out(4);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_STATUS_CODE(
+      (*ring)->ReadExact(ShmRing::kToApp, MutableByteSpan(out), passed),
+      ErrorCode::kTimeout);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(50));
+}
+
 // ---------------------------------------------------------------------------
 // Fault sites.
 

@@ -15,14 +15,15 @@ Blocking policy (the lists below are the policy — edit them deliberately):
   `recv*`/`send*`, `sleep*`), `CondVar::Wait`, `std::condition_variable`
   waits, thread `join`, cross-process `NamedMutex` acquisition (including
   the RAII `NamedMutexGuard`), and `ipc::ReadFrame(pipe)` — the one-argument
-  overload with no deadline.
+  form, whose deadline defaults to never.
 * bounded (traversal cuts): `CondVar::WaitUntil`, `PipeEnd::WaitReadable`,
   `PipeEnd::WaitWritable`, `PipeEnd::Poll`, `TryLock`,
-  `waitpid(..., WNOHANG)`, the deadline-carrying transfer overloads —
-  `ipc::ReadFrame(pipe, timeout)`, `ipc::WriteFrame(pipe, payload,
-  timeout)`, `PipeEnd::WriteAll(bytes, timeout)`,
-  `PipeEnd::ReadExact(out, timeout)` — anything that converts a wedged
-  peer into a `kTimeout`/`kBusy` the caller must handle.
+  `waitpid(..., WNOHANG)`, the deadline-carrying transfer calls —
+  `ipc::ReadFrame(pipe, deadline)`, `ipc::WriteFrame(pipe, payload,
+  deadline)`, `PipeEnd::WriteAll(bytes, deadline)`,
+  `PipeEnd::ReadExact(out, deadline)`, each taking one `afs::Deadline`
+  for the whole call — anything that converts a wedged peer into a
+  `kTimeout`/`kBusy` the caller must handle.
 * `afs::Mutex::Lock` / `MutexLock` are allowed: in-process critical
   sections are short by construction (the lock-order checker and TSan keep
   them honest); what kills an event loop is waiting on a *peer* while
@@ -93,8 +94,8 @@ def _is_blocking_call(call, fn, model):
     name = call.name
     if call.kind in ("free", "qualified"):
         if name == "ReadFrame":
-            # ipc::ReadFrame(pipe) blocks forever; the two-argument overload
-            # carries a deadline and is the sanctioned variant.
+            # ipc::ReadFrame(pipe) blocks forever; the two-argument form
+            # passes a deadline and is the sanctioned variant.
             return "ReadFrame(no timeout)" if call.nargs <= 1 else None
         if name == "waitpid":
             return None if "WNOHANG" in call.arg_idents else "waitpid"
@@ -141,8 +142,8 @@ def _is_cut(call, fn, model):
         return True
     if name == "ReadFrame" and call.nargs >= 2:
         return True
-    # The deadline-carrying transfer overloads; the shorter-arity forms of
-    # the same names block and stay subject to traversal.
+    # The deadline-passing transfer calls; the shorter-arity forms of the
+    # same names default to no deadline and stay subject to traversal.
     if name in ("WriteAll", "ReadExact") and call.nargs >= 2:
         return True
     if name == "WriteFrame" and call.nargs >= 3:

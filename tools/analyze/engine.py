@@ -354,7 +354,7 @@ class _Parser:
 
         if cls is not None and words and words[0] not in _CONTROL_KEYWORDS \
                 and self._first_toplevel_paren(head) is None:
-            # Brace-initialized member: `Micros response_timeout_{0};`
+            # Brace-initialized member: `Micros heartbeat_interval_{0};`
             # (annotation-macro groups are not declarator parens).
             m = self._member_decl(head)
             if m is not None:
