@@ -13,6 +13,15 @@ namespace afs {
 
 using Micros = std::chrono::microseconds;
 
+// A millisecond count from outside the program (a spec key) as Micros,
+// saturating at Micros::max() instead of overflowing; a negative count is
+// 0.  A saturated budget is no deadline under Deadline::In.
+constexpr Micros MillisToMicros(std::int64_t ms) noexcept {
+  constexpr std::int64_t kLimit = Micros::max().count() / 1000;
+  if (ms > kLimit) return Micros::max();
+  return Micros{ms > 0 ? ms * 1000 : 0};
+}
+
 // One operation's time budget: a steady-clock instant, or never.  An op
 // computes its deadline once and hands that one value to every wait it
 // makes, so the budget covers the whole call, not each leg of it.

@@ -30,15 +30,7 @@ std::int64_t SteadyNowMicros() {
 // ---------------------------------------------------------------------------
 // CacheLeaseChannel
 
-void CacheLeaseChannel::Observe(const sentinel::ControlResponse& response,
-                                bool heartbeat) {
-  const bool empty = response.cache_grant == 0 &&
-                     response.cache_lease_ms == 0 && response.cache_epoch == 0;
-  if (heartbeat && empty) {
-    // Liveness frames from endpoints without lease state wired decode to
-    // all-zero cache fields; they carry no grant information.
-    return;
-  }
+void CacheLeaseChannel::Observe(const sentinel::ControlResponse& response) {
   if (fault::Enabled() && !fault::Hit("core.cache.grant").ok()) {
     // Injected grant loss: this observation never reaches the client, so
     // the lease ages toward expiry exactly as if the response were
@@ -390,11 +382,11 @@ class CachedHandle final : public vfs::FileHandle, public ActiveHandle {
   Status SyncLeaseLocked(CacheLeaseChannel::State& lease) AFS_REQUIRES(mu_) {
     lease = channel_->Snapshot();
     if (lease.revocations != seen_revocations_) {
-      // The supervisor voided the lease (sentinel death, restart, or
-      // expiry while down).  Dirty blocks are committed application
-      // writes: flush them through the supervised inner handle — whose
-      // journal replay restores the session first — then drop the rest
-      // rather than serve blocks from a dead incarnation.
+      // A supervised restart voided the lease (sentinel death or wedge).
+      // Dirty blocks are committed application writes: flush them
+      // through the supervised inner handle — whose journal replay
+      // restores the session first — then drop the rest rather than
+      // serve blocks from a dead incarnation.
       AFS_RETURN_IF_ERROR(FlushDirtyLocked());
       DropAllLocked();
       seen_revocations_ = lease.revocations;

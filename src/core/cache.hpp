@@ -5,13 +5,13 @@
 // Two cooperating pieces:
 //
 //   CacheLeaseChannel — the client's view of the sentinel-granted lease.
-//     Every decoded control response (and idle heartbeat) carries the
-//     cache fields (PROTOCOL.md §3.4); the link feeds them into Observe,
-//     which latches the grant bits, re-arms the lease deadline, and
-//     records the sentinel's content epoch.  OutgoingFlags is stamped
-//     into every outbound control message, which is how the client asks
-//     for a lease and acknowledges recalls.  Revoke is the supervision
-//     hook: a dead sentinel's lease is void immediately, not at expiry.
+//     Every decoded control response carries the cache fields
+//     (PROTOCOL.md §3.4); the command stub feeds them into Observe, which
+//     latches the grant bits, re-arms the lease deadline, and records the
+//     sentinel's content epoch.  OutgoingFlags is stamped into every
+//     outbound control message, which is how the client asks for a lease
+//     and acknowledges recalls.  Revoke is the supervision hook: a dead
+//     sentinel's lease is void immediately, not at expiry.
 //
 //   CachedHandle — wraps a strategy-opened (possibly supervised) handle.
 //     While a read lease is live, reads are served from 4 KiB blocks in
@@ -44,9 +44,9 @@ namespace afs::core {
 // off here.)
 enum class ClientCacheMode : std::uint8_t { kOff = 0, kRead = 1, kWrite = 2 };
 
-// The lease state shared between the link (observer side) and the cached
-// handle (consumer side).  Lock-free: links observe from their transport
-// threads while the handle snapshots from the op path.
+// The lease state shared between the command stub (observer side) and the
+// cached handle (consumer side).  Lock-free: it is observed, revoked and
+// snapshotted from the op path, which any application thread may run.
 class CacheLeaseChannel {
  public:
   // One coherent view of the lease for an op to act on.
@@ -60,15 +60,10 @@ class CacheLeaseChannel {
     std::uint64_t revocations = 0;  // supervision revoke count
   };
 
-  // Latches the grant carried by one decoded response.  Heartbeat frames
-  // whose cache fields are all zero carry no lease information (endpoint
-  // without lease state wired) and are ignored; everything else is
+  // Latches the grant carried by one decoded response.  Every response is
   // authoritative, including an all-zero grant from a sentinel that
-  // stopped granting.  `heartbeat` marks liveness frames.
-  void Observe(const sentinel::ControlResponse& response, bool heartbeat);
-  void Observe(const sentinel::ControlResponse& response) {
-    Observe(response, response.heartbeat);
-  }
+  // stopped granting.
+  void Observe(const sentinel::ControlResponse& response);
 
   // The cache flags the next outbound message should carry: kCacheWantLease
   // always (this channel exists because the client caches), plus
@@ -80,7 +75,7 @@ class CacheLeaseChannel {
   // recalled epoch; the next outbound message carries the ack.
   void AckRecall() noexcept;
 
-  // Supervision hook (lease expiry / sentinel death / restart): voids the
+  // Supervision hook (sentinel death / restart): voids the
   // grant immediately so the cache drops instead of serving stale blocks,
   // and bumps the revocation counter — which is what disambiguates a
   // restarted sentinel's epoch numbering from the old incarnation's.

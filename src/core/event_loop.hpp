@@ -3,8 +3,8 @@
 //
 // One EventLoop owns one epoll instance, one eventfd doorbell, a run queue
 // of posted tasks, and a timer wheel.  Producers (application threads
-// posting commands, the supervisor arming lease ticks) never block: Post()
-// is a short lock plus an 8-byte eventfd write.  The loop thread drains up
+// posting commands) never block: Post() is a short lock plus an 8-byte
+// eventfd write.  The loop thread drains up
 // to `batch_limit` posted tasks per wakeup — the frame-batching knob that
 // amortizes one epoll_wait over many ready requests — then fires due
 // timers and dispatches fd readiness callbacks.

@@ -5,10 +5,7 @@
 #include <cstdlib>
 
 #include "common/faultpoint.hpp"
-#include "core/cache.hpp"
-#include "core/supervisor.hpp"
 #include "ipc/framing.hpp"
-#include "sentinel/dispatch.hpp"
 
 namespace afs::core {
 
@@ -22,8 +19,8 @@ using sentinel::EncodeControlResponse;
 
 namespace {
 
-// Idle re-arm slice for the endpoint's command wait when no heartbeat
-// cadence is configured: the wait becomes a sequence of bounded polls.
+// Idle re-arm slice for the endpoint's command wait: the wait becomes a
+// sequence of bounded polls.
 constexpr Micros kIdleWaitSlice{500'000};
 
 // Total bulk bytes a message would push through the write lane.
@@ -155,58 +152,16 @@ Status PipeLink::AdoptResponse(ControlResponse& response, Deadline deadline) {
 Result<ControlResponse> PipeLink::AF_GetResponse(Deadline deadline) {
   AFS_FAULT_POINT("core.link.recv");
   MutexLock lock(read_mu_);
-  if (pending_.has_value()) {
-    // The heartbeat drain raced a real response off the pipe; hand it over.
-    ControlResponse stashed = std::move(*pending_);
-    pending_.reset();
-    if (lease_) lease_->Renew();
-    return stashed;
-  }
-  while (true) {
-    AFS_ASSIGN_OR_RETURN(Buffer frame,
-                         ipc::ReadFrame(fds_.response_read, deadline));
-    AFS_ASSIGN_OR_RETURN(ControlResponse response,
-                         DecodeControlResponse(ByteSpan(frame)));
-    if (lease_) lease_->Renew();
-    // A shm-lane answer drains its ring payload.
-    AFS_RETURN_IF_ERROR(AdoptResponse(response, deadline));
-    if (!response.heartbeat) return response;
-    // A heartbeat renews the lease and carries the cache-lease grant (it is
-    // how a recall reaches a client whose next op is still in this wait);
-    // keep waiting, against the same deadline, for the answer.
-    if (cache_channel_) cache_channel_->Observe(response);
-  }
-}
-
-void PipeLink::PollHeartbeats() {
-  if (!read_mu_.TryLock()) return;  // an op owns the pipe and sees liveness
-  while (!pending_.has_value()) {
-    Result<bool> ready = fds_.response_read.Poll();
-    if (!ready.ok() || !*ready) break;
-    Result<Buffer> frame = ipc::ReadFrame(fds_.response_read, Micros{50'000});
-    if (!frame.ok()) break;  // EOF/garbage: the lease expires on its own
-    Result<ControlResponse> response = DecodeControlResponse(ByteSpan(*frame));
-    if (!response.ok()) break;
-    if (lease_) lease_->Renew();
-    // A real response racing the drain still owns its ring payload; adopt
-    // it here (into the in-flight op's stashed spans) before stashing the
-    // frame.  On failure the channel is desynchronized — stop draining and
-    // let the waiting op time out / the lease expire.
-    if (!AdoptResponse(*response, Deadline::Never()).ok()) break;
-    if (!response->heartbeat) {
-      pending_ = std::move(*response);
-    } else if (cache_channel_) {
-      // The push half of the recall protocol: an idle client learns about
-      // a recall from the heartbeat frames this drain consumes.
-      cache_channel_->Observe(*response);
-    }
-  }
-  read_mu_.Unlock();
+  AFS_ASSIGN_OR_RETURN(Buffer frame,
+                       ipc::ReadFrame(fds_.response_read, deadline));
+  AFS_ASSIGN_OR_RETURN(ControlResponse response,
+                       DecodeControlResponse(ByteSpan(frame)));
+  // A shm-lane answer drains its ring payload.
+  AFS_RETURN_IF_ERROR(AdoptResponse(response, deadline));
+  return response;
 }
 
 void PipeLink::Shutdown() {
-  // Taking the read lock fences out a concurrent heartbeat drain so the
-  // descriptors are never closed under an in-flight poll.
   MutexLock lock(read_mu_);
   fds_.control_write.Close();
   fds_.response_read.Close();
@@ -223,28 +178,11 @@ Status PipeLink::SetCloexec() {
 Result<ControlMessage> PipeEndpoint::AF_GetControl() {
   AFS_FAULT_POINT("sentinel.endpoint.recv");
   // The idle wait is a chain of bounded slices, never one unbounded park:
-  // with a heartbeat cadence each elapsed slice emits a liveness frame;
-  // without one the slice silently re-arms until a command (or EOF) lands.
-  const Micros slice = heartbeat_interval_.count() > 0 ? heartbeat_interval_
-                                                       : kIdleWaitSlice;
+  // each elapsed slice silently re-arms until a command (or EOF) lands.
   while (true) {
-    const Status ready = fds_.control_read.WaitReadable(slice);
+    const Status ready = fds_.control_read.WaitReadable(kIdleWaitSlice);
     if (ready.ok()) break;
     if (ready.code() != ErrorCode::kTimeout) return ready;
-    if (heartbeat_interval_.count() > 0) {
-      // Idle past one interval: tell the application side we are alive.
-      ControlResponse beat;
-      beat.heartbeat = true;
-      if (cache_state_ != nullptr) {
-        // The beat carries the sentinel's current grant so a recall
-        // reaches an idle client without waiting for its next op.
-        sentinel::StampCacheGrant(*cache_state_, beat);
-      }
-      AFS_RETURN_IF_ERROR(ipc::WriteFrame(
-          fds_.response_write,
-          EncodeControlResponse(beat, ring_ != nullptr, 0),
-          ipc::kStallTimeout));
-    }
   }
   // Readable now, so the frame-start wait is satisfied instantly; the
   // bound covers only a peer dying mid-frame.
@@ -278,7 +216,7 @@ Status PipeEndpoint::AF_SendResponse(const ControlResponse& response) {
   AFS_FAULT_POINT("sentinel.endpoint.send");
   // Bulk response payloads ride the ring (frame carries only their length);
   // the application created the ring, so it can always drain the lane.
-  const bool use_ring = ring_ != nullptr && !response.heartbeat &&
+  const bool use_ring = ring_ != nullptr &&
                         response.payload.size() >= shm_threshold_ &&
                         !response.payload.empty();
   const Deadline bound = Deadline::In(ipc::kStallTimeout);
@@ -298,7 +236,7 @@ Status MailboxSlot::Post(const ControlMessage& message) {
   MutexLock lock(mu_);
   while (state_ != SlotState::kIdle && !closed_) {
     // The sentinel side frees the slot per command, and Close() wakes
-    // every waiter with kClosed when the supervisor declares it dead.
+    // every waiter with kClosed when the session is shut or forced down.
     // afs-lint: allow(nonblocking: bounded by the slot protocol + Shutdown)
     cv_.Wait(mu_);
   }
@@ -365,11 +303,6 @@ void MailboxSlot::Close() {
   cv_.NotifyAll();
 }
 
-bool MailboxSlot::closed() {
-  MutexLock lock(mu_);
-  return closed_;
-}
-
 Status ThreadRendezvous::AF_SendControl(const ControlMessage& message,
                                         Deadline /*deadline*/) {
   AFS_FAULT_POINT("core.link.send");
@@ -383,16 +316,10 @@ Result<ControlResponse> ThreadRendezvous::AF_GetResponse(Deadline deadline) {
 
 Result<ControlMessage> ThreadRendezvous::AF_GetControl() {
   AFS_FAULT_POINT("sentinel.endpoint.recv");
-  const bool renew = lease_ != nullptr && lease_interval_.count() > 0;
   while (true) {
-    // Idle renewal: the timed wakeup itself is the heartbeat — the lease
-    // stamp is the shared memory both sides agree on.  Without a lease the
-    // idle wait is still a chain of bounded slices.
-    if (renew) lease_->Renew();
-    Result<ControlMessage> message =
-        slot_.Take(renew ? lease_interval_ : kIdleWaitSlice);
+    // The idle wait is a chain of bounded slices.
+    Result<ControlMessage> message = slot_.Take(kIdleWaitSlice);
     if (message.status().code() == ErrorCode::kTimeout) continue;
-    if (message.ok() && lease_) lease_->Renew();
     return message;
   }
 }
@@ -406,7 +333,6 @@ Result<Buffer> ThreadRendezvous::AF_GetDataFromAppl(std::size_t length) {
 
 Status ThreadRendezvous::AF_SendResponse(const ControlResponse& response) {
   AFS_FAULT_POINT("sentinel.endpoint.send");
-  if (lease_) lease_->Renew();
   if (!slot_.Deliver(response)) return ClosedError("rendezvous closed");
   return Status::Ok();
 }

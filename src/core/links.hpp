@@ -17,7 +17,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,14 +25,7 @@
 #include "ipc/shm_ring.hpp"
 #include "sentinel/endpoint.hpp"
 
-namespace afs::sentinel {
-struct CacheGrant;  // sentinel/context.hpp
-}  // namespace afs::sentinel
-
 namespace afs::core {
-
-class Lease;              // core/supervisor.hpp
-class CacheLeaseChannel;  // core/cache.hpp
 
 // Shared-memory data-plane knobs parsed from the active-file spec
 // (docs/SHM_DATA_PLANE.md): `shm_threshold` is the payload size at which
@@ -77,27 +69,6 @@ class PipeLink final : public sentinel::SentinelLink {
   Result<sentinel::ControlResponse> AF_GetResponse(Deadline deadline)
       AFS_NONBLOCKING override;
 
-  // Installs the liveness lease this link renews whenever any frame —
-  // heartbeat or real response — arrives from the sentinel.
-  void set_lease(std::shared_ptr<Lease> lease) noexcept {
-    lease_ = std::move(lease);
-  }
-
-  // Installs the client-cache lease channel (docs/CACHING.md).  The link
-  // feeds it the heartbeat frames, which never reach the stub: they are
-  // how a sentinel-pushed recall reaches an idle client.  The stub
-  // observes every real response itself.
-  void set_cache_channel(std::shared_ptr<CacheLeaseChannel> channel) noexcept {
-    cache_channel_ = std::move(channel);
-  }
-
-  // Monitor-thread entry: drains frames that are already pending without
-  // blocking.  Heartbeats renew the lease and are discarded; a real
-  // response that races the poll is stashed for the next AF_GetResponse.
-  // A no-op while an application operation owns the read side (that
-  // operation observes liveness itself).
-  void PollHeartbeats() AFS_NONBLOCKING;
-
   // Closes all application-side ends; the sentinel sees EOF.
   void Shutdown();
 
@@ -120,18 +91,13 @@ class PipeLink final : public sentinel::SentinelLink {
   // afs-lint: allow(guarded-member: fd table fixed at construction; read_mu_ serializes response readers)
   PipeLinkFds fds_;
   // afs-lint: allow(guarded-member: configured before the link is shared)
-  std::shared_ptr<Lease> lease_;
-  // afs-lint: allow(guarded-member: configured before the link is shared; internally lock-free)
-  std::shared_ptr<CacheLeaseChannel> cache_channel_;
-  // afs-lint: allow(guarded-member: configured before the link is shared)
   std::shared_ptr<ipc::ShmRing> ring_;
   // afs-lint: allow(guarded-member: configured before the link is shared)
   std::size_t shm_threshold_ = 4096;
 
-  // Serializes readers of the response pipe: the application operation in
-  // flight vs. the supervisor's heartbeat drain.
+  // Serializes the in-flight op's send (which stashes its scatter spans)
+  // with the response read, and both with Shutdown.
   Mutex read_mu_;
-  std::optional<sentinel::ControlResponse> pending_ AFS_GUARDED_BY(read_mu_);
   // Destination spans of the op in flight (inline_out / vec_out), stashed
   // at send so a shm-lane response scatters ring bytes straight into the
   // caller's buffers — the zero-extra-copy read path.
@@ -148,13 +114,6 @@ class PipeEndpoint final : public sentinel::SentinelEndpoint {
   Status AF_SendResponse(const sentinel::ControlResponse& response)
       AFS_NONBLOCKING override;
 
-  // When positive, an idle AF_GetControl emits a heartbeat response every
-  // `interval` instead of blocking forever — the sentinel side of the
-  // lease protocol.  Set before the dispatch loop starts.
-  void set_heartbeat_interval(Micros interval) noexcept {
-    heartbeat_interval_ = interval;
-  }
-
   // Attaches the shared ring (set before the dispatch loop starts).  Once
   // attached, every response — the open banner first — declares the ring,
   // payloads of at least `threshold` bytes ride it, and inbound shm-lane
@@ -165,20 +124,10 @@ class PipeEndpoint final : public sentinel::SentinelEndpoint {
     shm_threshold_ = threshold;
   }
 
-  // Points at the sentinel context's CacheGrant so idle heartbeats carry
-  // the current grant/recall state (docs/CACHING.md) — the push half of
-  // the recall protocol.  The context must outlive the dispatch loop.
-  // Set before the loop starts.
-  void set_cache_state(const sentinel::CacheGrant* grant) noexcept {
-    cache_state_ = grant;
-  }
-
  private:
   PipeEndpointFds fds_;
-  Micros heartbeat_interval_{0};
   std::shared_ptr<ipc::ShmRing> ring_;
   std::size_t shm_threshold_ = 4096;
-  const sentinel::CacheGrant* cache_state_ = nullptr;
   // Lane byte of the command being served (single dispatch thread): tells
   // AF_GetDataFromAppl which lane carries the write payload.
   std::uint8_t last_lane_ = 0;
@@ -191,7 +140,7 @@ class PipeEndpoint final : public sentinel::SentinelEndpoint {
 // slot shut and wakes every waiter with kClosed, but a delivered response
 // outranks the latch: the failed-open banner and the close acknowledgement
 // arrive with the latch already set and must not be dropped.  Fault points
-// and lease renewal belong to the wrappers.
+// belong to the wrappers.
 class MailboxSlot {
  public:
   // Application side.  Waits for the slot to be idle (it is at every send:
@@ -211,7 +160,6 @@ class MailboxSlot {
   bool Deliver(sentinel::ControlResponse response, bool closing = false);
 
   void Close();
-  bool closed();
 
  private:
   enum class SlotState : std::uint8_t { kIdle, kCommand, kResponse };
@@ -226,7 +174,7 @@ class MailboxSlot {
 
 // Both halves of the thread strategy's connection in one object: a
 // MailboxSlot between the application stub and the sentinel thread, plus
-// the link's fault points and the idle lease renewal.
+// the link's fault points.
 class ThreadRendezvous final : public sentinel::SentinelLink,
                                public sentinel::SentinelEndpoint {
  public:
@@ -250,19 +198,8 @@ class ThreadRendezvous final : public sentinel::SentinelLink,
   // Wakes both sides with kClosed; further traffic fails.
   void Shutdown() { slot_.Close(); }
 
-  // Installs the shared-memory lease the sentinel thread renews from
-  // inside its waits (the in-process analogue of heartbeat frames).  The
-  // thread wakes every `interval` while idle just to stamp the lease.
-  // Configure before the sentinel thread starts.
-  void set_lease(std::shared_ptr<Lease> lease, Micros interval) {
-    lease_ = std::move(lease);
-    lease_interval_ = interval;
-  }
-
  private:
   MailboxSlot slot_;
-  std::shared_ptr<Lease> lease_;
-  Micros lease_interval_{0};
 };
 
 }  // namespace afs::core

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/faultpoint.hpp"
-#include "core/supervisor.hpp"
 #include "obs/metrics.hpp"
 #include "sentinel/dispatch.hpp"
 
@@ -86,19 +85,18 @@ Result<ControlResponse> LoopSession::AF_GetResponse(Deadline deadline) {
 }
 
 void LoopSession::ForceDown() {
-  // Crash semantics: the sentinel is dropped without OnClose and a memory
-  // cache's un-finalized state is lost — the loop analogue of SIGKILL,
-  // and exactly the shape the recovery layer knows how to replay.
-  PostRelease(Release::kDrop);
+  // A session the shard already dropped (crash site, crashed op) is gone;
+  // a live but wedged one still closes implicitly once its op returns, so
+  // writes it acknowledged reach the bundle before a fresh session opens.
+  Shutdown();
+  released_.wait(false, std::memory_order_acquire);
 }
 
-void LoopSession::Shutdown() { PostRelease(Release::kImplicitClose); }
-
-void LoopSession::PostRelease(Release how) {
+void LoopSession::Shutdown() {
   slot_.Close();
   if (release_posted_.exchange(true)) return;
-  shard_.Post([self = shared_from_this(), how] {
-    self->ReleaseLoopState(how);
+  shard_.Post([self = shared_from_this()] {
+    self->ReleaseLoopState(Release::kImplicitClose);
   });
 }
 
@@ -125,8 +123,6 @@ void LoopSession::ServiceOpen() {
     // Mirror the dispatch loop's lifecycle: a failed OnOpen means no
     // session — OnClose must not run.  The banner still ships below.
     Drop();
-  } else {
-    ArmHeartbeat();
   }
   slot_.Deliver(std::move(banner), /*closing=*/!opened_);
 }
@@ -135,7 +131,6 @@ void LoopSession::Service() {
   // Spans in the message still reference the parked application's buffers.
   Result<ControlMessage> msg = slot_.Take(Micros{0});
   if (!msg.ok()) return;  // raced ForceDown: the op will never be served
-  if (lease_) lease_->Renew();
 
   // The loop-host crash site: tears this session down without a response —
   // the application's waiter wakes with kClosed and supervision replays the
@@ -148,7 +143,6 @@ void LoopSession::Service() {
 
   sentinel::OpOutcome out =
       sentinel::PerformControlOp(*sentinel_, ctx_, *msg, nullptr);
-  if (lease_) lease_->Renew();
   switch (out.verdict) {
     case sentinel::OpVerdict::kCrashed:
     case sentinel::OpVerdict::kChannelBroken:
@@ -170,8 +164,7 @@ void LoopSession::Service() {
 }
 
 void LoopSession::ReleaseLoopState(Release how) {
-  if (released_) return;
-  released_ = true;
+  if (released_.load(std::memory_order_relaxed)) return;
   if (how == Release::kImplicitClose && opened_ && sentinel_ != nullptr) {
     // Application vanished without the close protocol: implicit close so
     // aggregation/distribution side effects still complete.
@@ -183,20 +176,8 @@ void LoopSession::ReleaseLoopState(Release how) {
   // Release::kDrop: no OnClose, no writeback — un-finalized state is lost.
   sentinel_.reset();
   cache_ = CacheAssembly{};
-}
-
-void LoopSession::HeartbeatTick() {
-  if (slot_.closed()) return;  // session over; let the timer chain end
-  // The timed firing itself is the heartbeat: a wedged shard (or a sentinel
-  // op squatting on it) starves this renewal and the lease expires.
-  if (lease_) lease_->Renew();
-  ArmHeartbeat();
-}
-
-void LoopSession::ArmHeartbeat() {
-  if (lease_ == nullptr || heartbeat_interval_.count() <= 0) return;
-  shard_.AddTimer(heartbeat_interval_,
-                  [self = shared_from_this()] { self->HeartbeatTick(); });
+  released_.store(true, std::memory_order_release);
+  released_.notify_all();
 }
 
 // ---------------------------------------------------------------------
@@ -232,15 +213,12 @@ int LoopHost::shard_count() const noexcept { return pool_.shard_count(); }
 
 Result<std::shared_ptr<LoopSession>> LoopHost::Open(
     std::unique_ptr<sentinel::Sentinel> sent, sentinel::SentinelContext ctx,
-    CacheAssembly cache, int shard_pin, Micros heartbeat_interval,
-    std::shared_ptr<Lease> lease) {
+    CacheAssembly cache, int shard_pin) {
   AFS_RETURN_IF_ERROR(pool_.Start());
   const std::size_t index = pool_.PickShard(shard_pin);
   EventLoop& shard = pool_.ShardAt(index);
   auto session = std::shared_ptr<LoopSession>(new LoopSession(
       shard, index, std::move(sent), std::move(ctx), std::move(cache)));
-  session->lease_ = std::move(lease);
-  session->heartbeat_interval_ = heartbeat_interval;
   shard.Post([session] { session->ServiceOpen(); });
   return session;
 }

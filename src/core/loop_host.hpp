@@ -12,12 +12,11 @@
 // reference — which is how ≥100k concurrent handles fit under an ordinary
 // RLIMIT_NOFILE (see docs/EVENT_LOOP.md).
 //
-// Supervision: the session's lease is renewed by a shard timer while the
-// shard is responsive and around every serviced command, so a wedged loop
-// or a wedged sentinel op starves the lease and the supervisor forces the
-// session down.  ForceDown is the loop analogue of SIGKILL: waiters wake
-// with kClosed, the sentinel is dropped without OnClose, and un-finalized
-// cache state is lost — exactly the crash shape the recovery layer replays.
+// Supervision: a wedged loop or a wedged sentinel op shows up as an op
+// that runs past its op_timeout_ms deadline, and the supervised handle
+// then forces the session down before it restarts it: waiters wake with
+// kClosed, and the session is released with close semantics once the
+// shard is done with it.
 #pragma once
 
 #include <atomic>
@@ -33,8 +32,6 @@
 
 namespace afs::core {
 
-class Lease;  // core/supervisor.hpp
-
 class LoopSession final : public sentinel::SentinelLink,
                           public std::enable_shared_from_this<LoopSession> {
  public:
@@ -49,13 +46,18 @@ class LoopSession final : public sentinel::SentinelLink,
   Result<sentinel::ControlResponse> AF_GetResponse(Deadline deadline)
       AFS_NONBLOCKING override;
 
-  // Supervisor's force-down: the loop analogue of SIGKILL.  Blocked
-  // application waiters wake with kClosed; the sentinel is dropped without
-  // OnClose (crash semantics — un-finalized cache state is lost).
+  // The supervised handle's force-down: Shutdown, then wait until the
+  // shard has released the session.  An op already running there cannot
+  // be stopped, so it finishes first; then OnClose and the cache writeback
+  // run, so a wedged session keeps the writes it acknowledged.  No op
+  // still holds the application's buffers when the handle retries (the
+  // thread strategy's join gives the same).  The wait has no bound: if the
+  // op never returns, neither does ForceDown.
   void ForceDown();
 
   // Application cleanup without the close protocol (handle destruction,
-  // failed banner): posts an implicit close so sentinel side effects still
+  // failed banner): latches the slot shut and posts the one release of the
+  // loop-side state, an implicit close so sentinel side effects still
   // complete, mirroring the dispatch loop's application-vanished path.
   void Shutdown();
 
@@ -77,12 +79,7 @@ class LoopSession final : public sentinel::SentinelLink,
   void ServiceOpen();
   void Service();
   void ReleaseLoopState(Release how);
-  void HeartbeatTick();
-  void ArmHeartbeat();
 
-  // Application side: latches the slot shut and posts the one release of
-  // the loop-side state.
-  void PostRelease(Release how);
   // Loop thread: drops the sentinel state now (no OnClose, no writeback).
   void Drop();
 
@@ -95,11 +92,9 @@ class LoopSession final : public sentinel::SentinelLink,
   sentinel::SentinelContext ctx_;
   CacheAssembly cache_;
   bool opened_ = false;
-  bool released_ = false;
-
-  // Configured before the session is shared (LoopHost::Open).
-  std::shared_ptr<Lease> lease_;
-  Micros heartbeat_interval_{0};
+  // Set by the shard thread once the sentinel state is gone; ForceDown
+  // waits on it.
+  std::atomic<bool> released_{false};
 
   // Set by whichever path first takes charge of releasing the loop-side
   // state, so it is released once.
@@ -124,13 +119,11 @@ class LoopHost {
   int shard_count() const noexcept;
 
   // Stands up one session: places it on a shard (`shard_pin` >= 0 pins, see
-  // the "loop_shard" spec key; negative round-robins), posts the OnOpen
-  // banner task, and arms the lease heartbeat timer.  The caller must wait
-  // for the banner via AF_GetResponse.
+  // the "loop_shard" spec key; negative round-robins) and posts the OnOpen
+  // banner task.  The caller must wait for the banner via AF_GetResponse.
   Result<std::shared_ptr<LoopSession>> Open(
       std::unique_ptr<sentinel::Sentinel> sent, sentinel::SentinelContext ctx,
-      CacheAssembly cache, int shard_pin, Micros heartbeat_interval,
-      std::shared_ptr<Lease> lease);
+      CacheAssembly cache, int shard_pin);
 
   // The admission gate guarding shard `index`'s run queue: the byte budget
   // from AFS_LOOP_MAX_QUEUE_BYTES, shared by the shard's co-tenants and

@@ -147,8 +147,8 @@ Result<std::unique_ptr<vfs::FileHandle>> ActiveFileManager::TryOpen(
   AFS_ASSIGN_OR_RETURN(RestartPolicy policy,
                        RestartPolicy::FromSpec(request.spec.config));
   Result<std::unique_ptr<vfs::FileHandle>> opened =
-      policy.supervised ? OpenSupervised(supervisor_, *journal_, registry_,
-                                         strategy, request, policy)
+      policy.supervised ? OpenSupervised(*journal_, registry_, strategy,
+                                         request, policy)
                         : OpenWithStrategy(strategy, registry_, request);
   if (!opened.ok() || !client_cache) return opened;
   return WrapCached(std::move(*opened), request.cache_channel, cache_options);

@@ -82,9 +82,8 @@ class ActiveFileManager final : public vfs::OpenInterceptor {
   bool installed_ = false;
 
   // Supervision plumbing: bundles whose spec opts in ("supervise=1") are
-  // opened through OpenSupervised with these; everything else keeps the
+  // opened through OpenSupervised with this; everything else keeps the
   // classic unsupervised path.
-  Supervisor supervisor_;
   std::unique_ptr<SessionJournal> journal_;
 };
 

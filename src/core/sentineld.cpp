@@ -114,14 +114,6 @@ int SentineldMain(int argc, char** argv) {
     fds.response_write = ipc::PipeEnd(*response_fd);
     fds.data_read = ipc::PipeEnd(*data_fd);
     PipeEndpoint endpoint(std::move(fds));
-    // Supervised opens ask for idle heartbeats so the launching side's
-    // lease protocol can tell "idle" from "dead".
-    const std::uint64_t heartbeat_ms = args.GetU64("heartbeat-ms");
-    if (heartbeat_ms > 0) {
-      endpoint.set_heartbeat_interval(Micros{heartbeat_ms * 1000});
-    }
-    // Idle heartbeats carry the sentinel's cache grant (docs/CACHING.md).
-    endpoint.set_cache_state(&ctx.cache_grant);
     // Shared-memory data plane: the launching application created the ring
     // and passed its descriptor through the exec.  A failed attach is not
     // fatal — the open banner goes out without the ring bit, and the

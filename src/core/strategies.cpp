@@ -114,12 +114,15 @@ namespace {
 // Per-operation response deadline from the "op_timeout_ms" config key.
 // Zero (the default) preserves the historical block-forever behavior; any
 // positive value is the strategy-independent bound on how long one file
-// operation may wait for its sentinel.
+// operation may wait for its sentinel, and the only bound under which a
+// supervised handle declares a wedged sentinel dead.  For the in-process
+// strategies (thread, loop) that recovery still waits for the wedged op
+// to return before it retries.  A value past the clock's range saturates,
+// which Deadline::In reads as no deadline.
 Micros OpTimeout(const OpenRequest& request) {
   auto it = request.spec.config.find("op_timeout_ms");
   if (it == request.spec.config.end()) return Micros{0};
-  const long long ms = std::strtoll(it->second.c_str(), nullptr, 10);
-  return ms > 0 ? Micros{ms * 1000} : Micros{0};
+  return MillisToMicros(std::strtoll(it->second.c_str(), nullptr, 10));
 }
 
 // The per-link admission gate built from the spec's admit_* budgets
@@ -756,13 +759,6 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenThread(
   AFS_ASSIGN_OR_RETURN(res->sent, registry.Create(request.spec));
   res->ctx = BuildContext(request, res->cache);
 
-  if (probe != nullptr && request.heartbeat_interval.count() > 0) {
-    // In-process lease: the sentinel thread stamps shared memory from
-    // inside its waits — no frames involved.
-    auto lease = std::make_shared<Lease>();
-    res->rendezvous.set_lease(lease, request.heartbeat_interval);
-    probe->lease = std::move(lease);
-  }
   if (probe != nullptr) {
     probe->force_down = [res] { res->rendezvous.Shutdown(); };
   }
@@ -805,20 +801,11 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenLoop(
     shard_pin = static_cast<int>(std::strtol(it->second.c_str(), nullptr, 10));
   }
 
-  std::shared_ptr<Lease> lease;
-  if (probe != nullptr && request.heartbeat_interval.count() > 0) {
-    // In-process lease, renewed by the shard's heartbeat timer and around
-    // every serviced command — a wedged shard starves it.
-    lease = std::make_shared<Lease>();
-  }
-
   LoopHost& host = LoopHost::Global();
   AFS_ASSIGN_OR_RETURN(
       std::shared_ptr<LoopSession> session,
-      host.Open(std::move(sent), std::move(ctx), std::move(cache), shard_pin,
-                request.heartbeat_interval, lease));
+      host.Open(std::move(sent), std::move(ctx), std::move(cache), shard_pin));
   if (probe != nullptr) {
-    probe->lease = std::move(lease);
     probe->force_down = [session] { session->ForceDown(); };
   }
 
@@ -837,6 +824,25 @@ std::string ExecPath(const OpenRequest& request) {
   return it == request.spec.config.end() ? std::string() : it->second;
 }
 
+// A child sentinel's force-down: SIGKILL, so a wedged child does not hold
+// the teardown for ChildProcess::Shutdown's grace.  Null for a child whose
+// data part is a memory cache that only its clean exit writes back:
+// killing it would lose writes it acknowledged, so it keeps the bounded
+// grace, finishes its op, finds the link closed and closes implicitly.
+std::function<void()> ChildForceDown(
+    const OpenRequest& request, std::shared_ptr<ipc::ProcessWatch> watch) {
+  const auto& config = request.spec.config;
+  auto cache = config.find("cache");
+  auto writeback = config.find("writeback");
+  const bool writes_back =
+      cache != config.end() &&
+      ParseCacheMode(cache->second).value_or(CacheMode::kNone) ==
+          CacheMode::kMemory &&
+      (writeback == config.end() || writeback->second != "0");
+  if (writes_back) return nullptr;
+  return [watch] { watch->Kill(); };
+}
+
 Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
     const sentinel::SentinelRegistry& registry, const OpenRequest& request,
     OverloadPolicy overload, SessionProbe* probe) {
@@ -849,14 +855,6 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
   AFS_ASSIGN_OR_RETURN(auto pipes, CreatePipePair());
   auto res = std::make_shared<Resources>();
   res->link = std::make_unique<PipeLink>(std::move(pipes.first));
-
-  std::shared_ptr<Lease> lease;
-  if (probe != nullptr && request.heartbeat_interval.count() > 0) {
-    lease = std::make_shared<Lease>();
-    res->link->set_lease(lease);
-  }
-  // Heartbeat frames double as recall pushes, and only the link sees them.
-  res->link->set_cache_channel(request.cache_channel);
 
   // Shared-memory bulk data plane (docs/SHM_DATA_PLANE.md): the
   // application creates the ring; the sentinel attaches via fork
@@ -880,10 +878,6 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
         "--data-fd=" + std::to_string(fds.data_read.fd()),
         "--bundle=" + request.host_path, "--path=" + request.vfs_path,
         "--lockdir=" + request.lock_dir};
-    if (request.heartbeat_interval.count() > 0) {
-      argv.push_back("--heartbeat-ms=" +
-                     std::to_string(request.heartbeat_interval.count() / 1000));
-    }
     if (ring) {
       // The open banner says whether the attach worked (see below).
       argv.push_back("--shm-fd=" + std::to_string(ring->fd()));
@@ -902,12 +896,7 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
     SentinelContext ctx = BuildContext(request, cache);
 
     PipeEndpoint endpoint(std::move(pipes.second));
-    endpoint.set_heartbeat_interval(request.heartbeat_interval);
     if (ring) endpoint.set_shm(ring, shm.threshold);
-    // Idle heartbeats double as the lease-recall push channel: the
-    // endpoint stamps the sentinel's current grant into every beat (the
-    // ctx outlives the child's loop — both live in the forked frame).
-    endpoint.set_cache_state(&ctx.cache_grant);
     // The child's copy of the stack keeps every referenced object alive:
     // it runs the loop inside this call frame and _exit()s.
     Result<ipc::ChildProcess> spawned = ipc::SpawnFunction([&]() -> int {
@@ -935,10 +924,8 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
   if (ring) res->link->set_shm(ring, shm.threshold);
 
   if (probe != nullptr) {
-    probe->lease = lease;
     probe->child = res->child;
-    probe->force_down = [res] { res->child->Kill(); };
-    probe->poll_heartbeats = [res] { res->link->PollHeartbeats(); };
+    probe->force_down = ChildForceDown(request, res->child);
   }
 
   auto cleanup = [res]() {
@@ -959,15 +946,13 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
   return handle;
 }
 
-// Fills the probe for a freshly spawned stream/exec sentinel child.  No
-// lease: the raw byte streams carry no heartbeat frames, so liveness for
-// this strategy rests on waitpid alone.
-void FillChildProbe(SessionProbe* probe,
+// Fills the probe for a freshly spawned stream/exec sentinel child.
+void FillChildProbe(SessionProbe* probe, const OpenRequest& request,
                     const std::shared_ptr<ipc::ProcessWatch>& watch,
                     int to_sentinel_fd) {
   if (probe == nullptr) return;
   probe->child = watch;
-  probe->force_down = [watch] { watch->Kill(); };
+  probe->force_down = ChildForceDown(request, watch);
   // The fd stays stable when the PipeEnd moves into the handle; the
   // supervised handle clears this closure before that handle is destroyed.
   probe->peer_alive = [to_sentinel_fd] {
@@ -1005,7 +990,7 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcess(
     inbound.read_end.Close();
     outbound.write_end.Close();
     auto watch = std::make_shared<ipc::ProcessWatch>(std::move(*spawned));
-    FillChildProbe(probe, watch, inbound.write_end.fd());
+    FillChildProbe(probe, request, watch, inbound.write_end.fd());
     return std::unique_ptr<vfs::FileHandle>(std::make_unique<ProcessHandle>(
         std::move(inbound.write_end), std::move(outbound.read_end),
         std::move(watch), OpTimeout(request)));
@@ -1075,7 +1060,7 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcess(
   outbound.write_end.Close();
 
   auto watch = std::make_shared<ipc::ProcessWatch>(std::move(*spawned));
-  FillChildProbe(probe, watch, inbound.write_end.fd());
+  FillChildProbe(probe, request, watch, inbound.write_end.fd());
   return std::unique_ptr<vfs::FileHandle>(std::make_unique<ProcessHandle>(
       std::move(inbound.write_end), std::move(outbound.read_end),
       std::move(watch), OpTimeout(request), std::move(ring)));

@@ -89,11 +89,8 @@ struct OpenRequest {
   sentinel::RemoteResolver* resolver = nullptr;  // may be null
   std::string lock_dir;
 
-  // Supervision extras (set by core/supervisor.cpp, zero by default):
-  // positive → the sentinel side emits idle heartbeats / renews its lease
-  // at this cadence.
-  Micros heartbeat_interval{0};
-  // Stream-strategy re-attach: the reader pump starts streaming at
+  // Stream-strategy re-attach (set by core/supervisor.cpp, zero by
+  // default): the reader pump starts streaming at
   // resume_read_pos and the first inbound write applies at
   // resume_write_pos, so a restarted sentinel resumes mid-file instead of
   // replaying from byte zero.
@@ -101,7 +98,7 @@ struct OpenRequest {
   std::uint64_t resume_write_pos = 0;
 
   // Client-cache lease plumbing (set by the manager when the spec asks for
-  // cache=read|write, null otherwise): the link stamps this channel's
+  // cache=read|write, null otherwise): the stub stamps this channel's
   // OutgoingFlags into every control message and feeds every decoded
   // response back through Observe, so the CachedHandle wrapped around the
   // stub always sees the sentinel's current grant (docs/CACHING.md).
@@ -111,8 +108,8 @@ struct OpenRequest {
 // Builds the application-side FileHandle (the "stub") for the given
 // strategy, spawning/injecting the sentinel as a side effect.  On error
 // nothing is left running.  A non-null `probe` is filled with the
-// session's liveness hooks (lease, child watch, force-down) for the
-// supervisor; pass nullptr when the open is unsupervised.
+// session's hooks (child watch, force-down, stream peer probe) for the
+// supervised handle; pass nullptr when the open is unsupervised.
 Result<std::unique_ptr<vfs::FileHandle>> OpenWithStrategy(
     Strategy strategy, const sentinel::SentinelRegistry& registry,
     const OpenRequest& request, SessionProbe* probe = nullptr);

@@ -1,13 +1,14 @@
 #include "core/supervisor.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/backoff.hpp"
 #include "common/log.hpp"
 #include "core/cache.hpp"
 #include "core/session_journal.hpp"
@@ -16,9 +17,6 @@
 namespace afs::core {
 
 namespace {
-
-// How often the monitor thread walks the attached sessions.
-constexpr Micros kMonitorTick{10'000};
 
 // Replaying a crashed stream session means re-sending every write the
 // application ever issued (stream writes are unacknowledged, so all are in
@@ -61,174 +59,21 @@ Result<RestartPolicy> RestartPolicy::FromSpec(
   policy.supervised = it != config.end() && it->second == "1";
 
   policy.max_restarts = static_cast<int>(
-      ParseIntKey(config, "restart_max", policy.max_restarts));
-  if (policy.max_restarts < 0) policy.max_restarts = 0;
+      std::clamp(ParseIntKey(config, "restart_max", policy.max_restarts),
+                 0LL, static_cast<long long>(INT_MAX)));
 
   const long long backoff_ms =
       ParseIntKey(config, "restart_backoff_ms", -1);
-  if (backoff_ms >= 0) policy.backoff_initial = Micros{backoff_ms * 1000};
+  if (backoff_ms >= 0) policy.backoff_initial = MillisToMicros(backoff_ms);
   const long long cap_ms =
       ParseIntKey(config, "restart_backoff_cap_ms", -1);
-  if (cap_ms >= 0) policy.backoff_cap = Micros{cap_ms * 1000};
-
-  const long long lease_ms = ParseIntKey(config, "lease_ms", 0);
-  if (lease_ms > 0) policy.lease = Micros{lease_ms * 1000};
+  if (cap_ms >= 0) policy.backoff_cap = MillisToMicros(cap_ms);
 
   auto degrade_it = config.find("degrade");
   if (degrade_it != config.end()) {
     AFS_ASSIGN_OR_RETURN(policy.degrade, ParseDegradeMode(degrade_it->second));
   }
   return policy;
-}
-
-// ---------------------------------------------------------------------
-// Supervisor
-
-// Shared between the monitor thread and the owning handle.  `dead` latches:
-// once the sentinel behind this session is declared gone, only a Rebind
-// (fresh probe after a restart) clears it.
-struct Supervisor::Session {
-  Mutex mu;
-  SessionProbe probe AFS_GUARDED_BY(mu);
-  Micros lease_timeout AFS_GUARDED_BY(mu){0};
-  bool dead AFS_GUARDED_BY(mu) = false;
-  bool detached AFS_GUARDED_BY(mu) = false;
-};
-
-namespace {
-
-// One monitor pass over one session: drain heartbeats, then check the
-// waitpid and lease arms; declare death and force the link down on either.
-void CheckSession(Supervisor::Session& session) AFS_NONBLOCKING {
-  std::function<void()> poll;
-  {
-    MutexLock lock(session.mu);
-    if (session.dead || session.detached) return;
-    poll = session.probe.poll_heartbeats;
-  }
-  if (poll) poll();
-
-  MutexLock lock(session.mu);
-  if (session.dead || session.detached) return;
-  const char* cause = nullptr;
-  if (session.probe.child != nullptr) {
-    const std::optional<ipc::ExitStatus> ended = session.probe.child->Poll();
-    if (ended.has_value()) cause = "sentinel process exited";
-  }
-  if (cause == nullptr && session.lease_timeout.count() > 0 &&
-      session.probe.lease != nullptr &&
-      session.probe.lease->Age() > session.lease_timeout) {
-    cause = "sentinel lease expired";
-    static obs::Counter& expiries =
-        obs::Registry::Global().GetCounter("core.supervisor.lease_expiries");
-    expiries.Add(1);
-  } else if (cause != nullptr) {
-    static obs::Counter& exits =
-        obs::Registry::Global().GetCounter("core.supervisor.child_exits");
-    exits.Add(1);
-  }
-  if (cause == nullptr) return;
-  session.dead = true;
-  AFS_LOG(kWarn, "afs.supervisor") << cause << "; forcing link down";
-  std::function<void()> down = session.probe.force_down;
-  std::function<void()> revoke = session.probe.cache_revoke;
-  lock.Unlock();
-  // A dead sentinel's cache lease is void immediately — the client cache
-  // must drop (or flush-and-drop) instead of serving blocks the sentinel
-  // can no longer recall (docs/CACHING.md).
-  if (revoke) revoke();
-  // Wakes any application operation blocked on the dead link; it fails
-  // with a transport error and the owning handle runs recovery.
-  if (down) down();
-}
-
-}  // namespace
-
-Supervisor::~Supervisor() {
-  {
-    MutexLock lock(mu_);
-    stop_ = true;
-  }
-  // Joins the loop thread; an in-flight sweep finishes first, and the
-  // pending re-arm timer is discarded with the loop's timer list.
-  loop_.Stop();
-}
-
-void Supervisor::EnsureLoopLocked() {
-  if (running_) return;
-  const Status started = loop_.Start();
-  if (!started.ok()) {
-    // No loop, no proactive monitoring; transport errors still surface
-    // through the op path.  Left un-running so a later Attach retries.
-    AFS_LOG(kWarn, "afs.supervisor")
-        << "monitor loop failed to start: " << started.ToString();
-    return;
-  }
-  running_ = true;
-  loop_.AddTimer(kMonitorTick, [this] { MonitorTick(); });
-}
-
-// One firing of the monitor's timer wheel: sweep every attached session,
-// then re-arm.  Re-arming from inside the callback (instead of a periodic
-// timer) keeps a slow sweep from stacking overlapping firings.
-void Supervisor::MonitorTick() {
-  std::vector<std::shared_ptr<Session>> snapshot;
-  {
-    MutexLock lock(mu_);
-    if (stop_) return;
-    snapshot = sessions_;
-  }
-  for (const auto& session : snapshot) CheckSession(*session);
-  MutexLock lock(mu_);
-  if (stop_) return;
-  loop_.AddTimer(kMonitorTick, [this] { MonitorTick(); });
-}
-
-std::shared_ptr<Supervisor::Session> Supervisor::Attach(SessionProbe probe,
-                                                        Micros lease) {
-  auto session = std::make_shared<Session>();
-  {
-    MutexLock lock(session->mu);
-    session->probe = std::move(probe);
-    session->lease_timeout = lease;
-  }
-  MutexLock lock(mu_);
-  sessions_.push_back(session);
-  EnsureLoopLocked();
-  return session;
-}
-
-void Supervisor::Rebind(const std::shared_ptr<Session>& session,
-                        SessionProbe probe) {
-  if (session == nullptr) return;
-  MutexLock lock(session->mu);
-  session->probe = std::move(probe);
-  session->dead = false;
-  if (session->probe.lease) session->probe.lease->Renew();
-}
-
-void Supervisor::Detach(const std::shared_ptr<Session>& session) {
-  if (session == nullptr) return;
-  {
-    MutexLock lock(session->mu);
-    session->detached = true;
-    session->probe = SessionProbe{};
-  }
-  MutexLock lock(mu_);
-  sessions_.erase(std::remove(sessions_.begin(), sessions_.end(), session),
-                  sessions_.end());
-}
-
-bool Supervisor::DeclaredDead(const std::shared_ptr<Session>& session) {
-  if (session == nullptr) return false;
-  MutexLock lock(session->mu);
-  return session->dead;
-}
-
-void Supervisor::MarkDead(const std::shared_ptr<Session>& session) {
-  if (session == nullptr) return;
-  MutexLock lock(session->mu);
-  session->dead = true;
 }
 
 // ---------------------------------------------------------------------
@@ -343,12 +188,11 @@ void JournalDrop(const Status& recorded) {
 
 class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
  public:
-  SupervisedHandle(Supervisor& supervisor, SessionJournal& journal,
+  SupervisedHandle(SessionJournal& journal,
                    const sentinel::SentinelRegistry& registry,
                    Strategy strategy, OpenRequest request,
                    RestartPolicy policy)
-      : supervisor_(supervisor),
-        journal_(journal),
+      : journal_(journal),
         registry_(registry),
         strategy_(strategy),
         stream_(strategy == Strategy::kProcess),
@@ -359,7 +203,7 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
   ~SupervisedHandle() override {
     MutexLock lock(mu_);
     if (!closed_) {
-      DetachSession();
+      DropProbe();
       inner_.reset();
       degraded_.reset();
       closed_ = true;
@@ -575,7 +419,7 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
         }
       }
     }
-    DetachSession();
+    DropProbe();
     inner_.reset();
     degraded_.reset();
     closed_ = true;
@@ -598,16 +442,9 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
     return stream_ ? static_cast<std::int64_t>(read_pos_) : position_;
   }
 
-  Micros HeartbeatInterval() const {
-    if (policy_.lease.count() <= 0) return Micros{0};
-    // Three beats per lease keeps one lost wakeup from a false positive.
-    const std::int64_t third = policy_.lease.count() / 3;
-    return Micros{third > 1000 ? third : 1000};
-  }
-
   bool ChildDiedAbnormally() AFS_REQUIRES(mu_) {
-    if (child_ == nullptr) return false;
-    const std::optional<ipc::ExitStatus> ended = child_->Poll();
+    if (probe_.child == nullptr) return false;
+    const std::optional<ipc::ExitStatus> ended = probe_.child->Poll();
     return ended.has_value() && !ended->clean();
   }
 
@@ -625,17 +462,17 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
   //   - reader gone but child never reapable within the deadline
   //                            -> the child is mid-exit: a crash.
   bool StreamEofWasCrash() AFS_REQUIRES(mu_) {
-    if (child_ == nullptr) return false;
+    if (probe_.child == nullptr) return false;
     constexpr auto kStep = std::chrono::microseconds(500);
     constexpr int kIters = 200;        // 100ms hard deadline
     constexpr int kConfirmStreak = 40;  // reader must hold ~20ms to be trusted
     int alive_streak = 0;
     bool reader_gone = false;
     for (int i = 0; i < kIters; ++i) {
-      const std::optional<ipc::ExitStatus> ended = child_->Poll();
+      const std::optional<ipc::ExitStatus> ended = probe_.child->Poll();
       if (ended.has_value()) return !ended->clean();
-      if (peer_alive_) {
-        if (peer_alive_()) {
+      if (probe_.peer_alive) {
+        if (probe_.peer_alive()) {
           if (++alive_streak >= kConfirmStreak) return false;
         } else {
           alive_streak = 0;
@@ -650,8 +487,10 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
     return reader_gone;
   }
 
-  // Transport failures that mean "the sentinel is gone", as opposed to
-  // sentinel-side operation errors (which pass through untouched).
+  // Transport failures that mean "the sentinel is gone" (kClosed: it
+  // closed the link) or "the sentinel is wedged" (kTimeout: the op ran
+  // past op_timeout_ms), as opposed to sentinel-side operation errors
+  // (which pass through untouched).
   bool CrashClass(const Status& status) AFS_REQUIRES(mu_) {
     switch (status.code()) {
       case ErrorCode::kClosed:
@@ -722,11 +561,10 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
     write_log_bytes_ += data.size();
   }
 
-  // Spawns one session (sentinel + probe) and registers it with the
-  // monitor.  On success the handle is active.
+  // Spawns one session (sentinel + probe).  On success the handle is
+  // active.
   Status OpenSessionLocked() AFS_REQUIRES(mu_) {
     OpenRequest request = request_;
-    request.heartbeat_interval = HeartbeatInterval();
     if (stream_) {
       request.resume_read_pos = read_pos_;
       request.resume_write_pos = 0;  // the write log replays from zero
@@ -735,16 +573,9 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
     Result<std::unique_ptr<vfs::FileHandle>> opened =
         OpenWithStrategy(strategy_, registry_, request, &probe);
     AFS_RETURN_IF_ERROR(opened.status());
-    if (request_.cache_channel != nullptr) {
-      probe.cache_revoke = [channel = request_.cache_channel] {
-        channel->Revoke();
-      };
-    }
-    DetachSession();  // drop any previous incarnation before installing
-    child_ = probe.child;
-    peer_alive_ = probe.peer_alive;
+    DropProbe();  // drop any previous incarnation before installing
+    probe_ = std::move(probe);
     inner_ = std::move(*opened);
-    session_ = supervisor_.Attach(std::move(probe), policy_.lease);
     return Status::Ok();
   }
 
@@ -776,7 +607,7 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
   // Returns OK when the caller may retry (restarted or degraded); an error
   // when the handle is permanently failed.
   Status NextRestartLocked(const char* why) AFS_REQUIRES(mu_) {
-    DetachSession();
+    DropProbe();
     inner_.reset();
     if (restarts_ >= policy_.max_restarts ||
         (stream_ && write_log_overflow_)) {
@@ -788,14 +619,14 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
     restarts.Add(1);
     JournalDrop(journal_.RecordRestart(id_, restarts_));
     // Doubling delay, recomputed from the attempt number so the budget is
-    // global to the handle rather than per-operation.
+    // global to the handle rather than per-operation.  Comparing against
+    // half the cap keeps the doubling from overflowing.
     Micros delay = policy_.backoff_initial;
     for (int i = 1; i < restarts_ && delay < policy_.backoff_cap; ++i) {
-      delay = delay * 2 > policy_.backoff_cap ? policy_.backoff_cap
+      delay = delay > policy_.backoff_cap / 2 ? policy_.backoff_cap
                                               : delay * 2;
     }
-    Backoff backoff(1, delay, policy_.backoff_cap);
-    (void)backoff.Next(SteadyClock::Instance());
+    if (delay.count() > 0) SteadyClock::Instance().SleepFor(delay);
     AFS_LOG(kWarn, "afs.supervisor")
         << request_.vfs_path << ": restarting sentinel after crash during "
         << why << " (attempt " << restarts_ << "/" << policy_.max_restarts
@@ -807,10 +638,14 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
   // replay.  OK = retry the interrupted operation (active again or
   // degraded); error = permanently failed.
   Status RecoverLocked(const char* why) AFS_REQUIRES(mu_) {
-    Supervisor::MarkDead(session_);
+    // Dead or wedged, the old sentinel goes down before the handle lets
+    // go of it, so a wedged child does not hold up the teardown for its
+    // shutdown grace.  Writes it acknowledged into a memory cache survive:
+    // in-process sessions still close implicitly once their op returns,
+    // and such a child gets no force_down (see SessionProbe).
+    if (probe_.force_down) probe_.force_down();
     if (request_.cache_channel != nullptr) {
-      // Recovery entered from the op path can beat the monitor's sweep;
-      // void the client cache's lease before a restarted sentinel (whose
+      // Void the client cache's lease before a restarted sentinel (whose
       // epoch numbering starts over) answers anything.
       request_.cache_channel->Revoke();
     }
@@ -833,7 +668,7 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
   // Restart budget exhausted (or restart impossible): fall back to the
   // bundle's data part per the declared degrade mode.
   Status DegradeLocked(const char* why) AFS_REQUIRES(mu_) {
-    DetachSession();
+    DropProbe();
     inner_.reset();
     static obs::Counter& degrades =
         obs::Registry::Global().GetCounter("core.supervisor.degrades");
@@ -882,18 +717,10 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
     return Status::Ok();
   }
 
-  void DetachSession() AFS_REQUIRES(mu_) {
-    if (session_ != nullptr) {
-      supervisor_.Detach(session_);
-      session_.reset();
-    }
-    child_.reset();
-    // Must drop before inner_ does: the closure probes a descriptor the
-    // inner handle owns.
-    peer_alive_ = nullptr;
-  }
+  // Must run before inner_ is dropped: peer_alive probes a descriptor the
+  // inner handle owns.
+  void DropProbe() AFS_REQUIRES(mu_) { probe_ = SessionProbe{}; }
 
-  Supervisor& supervisor_;
   SessionJournal& journal_;
   const sentinel::SentinelRegistry& registry_;
   const Strategy strategy_;
@@ -905,9 +732,7 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
   Mutex mu_;
   std::unique_ptr<vfs::FileHandle> inner_ AFS_GUARDED_BY(mu_);
   std::unique_ptr<DegradedHandle> degraded_ AFS_GUARDED_BY(mu_);
-  std::shared_ptr<Supervisor::Session> session_ AFS_GUARDED_BY(mu_);
-  std::shared_ptr<ipc::ProcessWatch> child_ AFS_GUARDED_BY(mu_);
-  std::function<bool()> peer_alive_ AFS_GUARDED_BY(mu_);
+  SessionProbe probe_ AFS_GUARDED_BY(mu_);
   Mode mode_ AFS_GUARDED_BY(mu_) = Mode::kActive;
   bool closed_ AFS_GUARDED_BY(mu_) = false;
   int restarts_ AFS_GUARDED_BY(mu_) = 0;
@@ -924,7 +749,7 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
 }  // namespace
 
 Result<std::unique_ptr<vfs::FileHandle>> OpenSupervised(
-    Supervisor& supervisor, SessionJournal& journal,
+    SessionJournal& journal,
     const sentinel::SentinelRegistry& registry, Strategy strategy,
     const OpenRequest& request, const RestartPolicy& policy) {
   if (strategy == Strategy::kDirect) {
@@ -932,8 +757,20 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenSupervised(
         "direct strategy runs the sentinel in the caller's frame and "
         "cannot be supervised");
   }
+  const auto& config = request.spec.config;
+  if (config.count("lease_ms") != 0 && config.count("op_timeout_ms") == 0) {
+    // Before op-path detection, lease_ms also bounded a supervised
+    // sentinel's liveness; say once that it no longer does.
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true)) {
+      AFS_LOG(kWarn, "afs.supervisor")
+          << request.vfs_path
+          << ": lease_ms is only the client-cache lease; set op_timeout_ms "
+             "to bound how long a wedged sentinel can block an op";
+    }
+  }
   auto handle = std::make_unique<SupervisedHandle>(
-      supervisor, journal, registry, strategy, request, policy);
+      journal, registry, strategy, request, policy);
   AFS_RETURN_IF_ERROR(handle->Open());
   return std::unique_ptr<vfs::FileHandle>(std::move(handle));
 }

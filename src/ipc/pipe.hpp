@@ -63,8 +63,7 @@ class PipeEnd {
   Status WaitReadable(Deadline deadline) const;
 
   // Non-blocking readability probe: true when data (or EOF) is already
-  // pending, false when a read would block.  Lets a monitor thread drain
-  // heartbeat frames without ever stalling on an idle pipe.
+  // pending, false when a read would block.
   Result<bool> Poll() const;
 
   // Blocks until the descriptor accepts bytes without blocking (POLLOUT);

@@ -49,9 +49,8 @@ class ChildProcess {
   Result<int> Wait();
 
   // Non-blocking liveness probe: nullopt while the child still runs;
-  // otherwise reaps (once) and returns how it ended.  This is the waitpid
-  // arm of the supervisor's liveness protocol — a sentinel that died is
-  // detected here without waiting for a pipe to report EPIPE.
+  // otherwise reaps (once) and returns how it ended.  The supervised
+  // handle uses it to tell a crash from a clean exit.
   Result<std::optional<ExitStatus>> TryWait();
 
   // Bounded teardown: wait up to `grace` for a voluntary exit (sentinels
@@ -76,10 +75,9 @@ class ChildProcess {
   int exit_signal_ = 0;
 };
 
-// Thread-safe shared view of one child.  The supervisor's monitor thread
-// polls liveness while the owning handle runs operations and eventually
-// tears the child down; ChildProcess itself is single-threaded, so both
-// sides go through this wrapper.
+// Thread-safe shared view of one child.  The supervised handle polls and
+// kills it while the strategy stub owns its teardown; ChildProcess itself
+// is single-threaded, so both go through this wrapper.
 class ProcessWatch {
  public:
   explicit ProcessWatch(ChildProcess child) : child_(std::move(child)) {}

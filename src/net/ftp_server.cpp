@@ -304,7 +304,11 @@ Result<std::string> FtpClient::ReadLine() {
 Status FtpClient::ReadExact(MutableByteSpan out) {
   std::size_t done = 0;
   const std::size_t from_pending = std::min(out.size(), pending_.size());
-  std::memcpy(out.data(), pending_.data(), from_pending);
+  // An empty buffer or span may have a null pointer, which memcpy may not
+  // take.
+  if (from_pending > 0) {
+    std::memcpy(out.data(), pending_.data(), from_pending);
+  }
   pending_.erase(pending_.begin(),
                  pending_.begin() + static_cast<long>(from_pending));
   done += from_pending;

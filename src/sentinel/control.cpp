@@ -3,8 +3,8 @@
 namespace afs::sentinel {
 
 namespace {
-// Response frame flag bits (wire byte after the version).
-constexpr std::uint8_t kResponseFlagHeartbeat = 0x01;
+// Response frame flag bits (wire byte after the version).  0x01 is
+// reserved: encoders leave it clear and decoders ignore it.
 constexpr std::uint8_t kResponseFlagShmRing = 0x02;
 }  // namespace
 
@@ -78,7 +78,6 @@ Buffer EncodeControlResponse(const ControlResponse& response, bool shm_ring,
         static_cast<std::uint32_t>(RetryAfterHintMs(response.status));
   }
   std::uint8_t flags = 0;
-  if (response.heartbeat) flags |= kResponseFlagHeartbeat;
   if (shm_ring) flags |= kResponseFlagShmRing;
   Buffer out;
   out.reserve(6 + 4 * 4 + 8 + 4 + response.status.message().size() + 4 +
@@ -124,7 +123,6 @@ Result<ControlResponse> DecodeControlResponse(ByteSpan bytes) {
   }
   response.status = Status(static_cast<ErrorCode>(code), std::move(message));
   response.payload.assign(payload.begin(), payload.end());
-  response.heartbeat = (flags & kResponseFlagHeartbeat) != 0;
   response.shm_ring = (flags & kResponseFlagShmRing) != 0;
   return response;
 }

@@ -110,13 +110,6 @@ struct ControlResponse {
   std::uint64_t number = 0;  // count / position / size, op-dependent
   Buffer payload;            // read data (pipe lane) or kCustom reply
 
-  // Liveness beacon, not an answer to any command: an idle sentinel emits
-  // heartbeat frames on the response channel so the supervisor's lease
-  // protocol can distinguish "idle" from "dead/wedged".  Application stubs
-  // skip these frames (renewing the lease) while waiting for a real
-  // response.
-  bool heartbeat = false;
-
   // The responder has the shared ring attached.  The application side
   // reads it from the open banner only: a banner without it means the
   // sentinel could not attach, and the link keeps every payload on pipes.

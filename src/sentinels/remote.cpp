@@ -74,7 +74,8 @@ Result<std::size_t> RemoteFileSentinel::OnRead(sentinel::SentinelContext& ctx,
         client_->GetRange(remote_path_, ctx.position,
                           static_cast<std::uint32_t>(out.size())));
     const std::size_t n = std::min(out.size(), got.data.size());
-    std::memcpy(out.data(), got.data.data(), n);
+    // An empty range has a null data pointer, which memcpy may not take.
+    if (n > 0) std::memcpy(out.data(), got.data.data(), n);
     return n;
   }
   if (consistency_ == Consistency::kAlways && !dirty_) {

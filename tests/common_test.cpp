@@ -1,6 +1,8 @@
 // Unit tests for the common layer: Status/Result, byte codecs, clocks.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include <thread>
 
 #include "common/bytes.hpp"
@@ -186,6 +188,19 @@ TEST(DeadlineTest, BudgetsMapOntoNeverOrAnInstant) {
   EXPECT_EQ(soon.Slice(Micros{10}), Micros{10});
   EXPECT_LE(soon.Slice(Micros{1'000'000}), Micros{50'000});
   EXPECT_TRUE(soon < Deadline::Never());
+}
+
+// Spec millisecond values convert without overflow: past the range they
+// saturate, and a saturated budget is no deadline.
+TEST(DeadlineTest, MillisToMicrosSaturates) {
+  EXPECT_EQ(MillisToMicros(0), Micros{0});
+  EXPECT_EQ(MillisToMicros(250), Micros{250'000});
+  EXPECT_EQ(MillisToMicros(-3), Micros{0});
+  const std::int64_t limit = Micros::max().count() / 1000;
+  EXPECT_EQ(MillisToMicros(limit), Micros{limit * 1000});
+  EXPECT_EQ(MillisToMicros(limit + 1), Micros::max());
+  EXPECT_EQ(MillisToMicros(INT64_MAX), Micros::max());
+  EXPECT_TRUE(Deadline::In(MillisToMicros(INT64_MAX)).never());
 }
 
 }  // namespace

@@ -128,7 +128,6 @@ TEST(ControlCodecTest, ResponseRoundTrip) {
   resp.status = OutOfRangeError("past eof");
   resp.number = 777;
   resp.payload = ToBuffer("tail");
-  resp.heartbeat = true;
   resp.shm_ring = true;
   resp.cache_grant = kGrantRead | kGrantWrite;
   resp.cache_lease_ms = 750;
@@ -141,7 +140,6 @@ TEST(ControlCodecTest, ResponseRoundTrip) {
   EXPECT_EQ(decoded->status.message(), "past eof");
   EXPECT_EQ(decoded->number, 777u);
   EXPECT_EQ(ToString(ByteSpan(decoded->payload)), "tail");
-  EXPECT_TRUE(decoded->heartbeat);
   EXPECT_TRUE(decoded->shm_ring);
   EXPECT_EQ(decoded->cache_grant, kGrantRead | kGrantWrite);
   EXPECT_EQ(decoded->cache_lease_ms, 750u);
@@ -150,10 +148,12 @@ TEST(ControlCodecTest, ResponseRoundTrip) {
   EXPECT_EQ(decoded->remote_spans[0].trace_id, 11u);
   EXPECT_EQ(decoded->remote_spans[0].name, "sentinel.read");
 
-  // Neither flag bit leaks into a plain answer.
-  auto plain = DecodeControlResponse(ByteSpan(EncodeControlResponse({})));
+  // The flag bit does not leak into a plain answer, and the reserved bit
+  // 0x01 (flags are the byte after the version) is ignored.
+  Buffer plain_frame = EncodeControlResponse({});
+  plain_frame[1] |= 0x01;
+  auto plain = DecodeControlResponse(ByteSpan(plain_frame));
   ASSERT_OK(plain.status());
-  EXPECT_FALSE(plain->heartbeat);
   EXPECT_FALSE(plain->shm_ring);
   EXPECT_TRUE(plain->remote_spans.empty());
 }

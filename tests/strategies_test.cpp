@@ -77,6 +77,22 @@ TEST_P(StrategiesTest, DataPartPersistsInBundle) {
   EXPECT_EQ(ToString(ByteSpan(*data)), "persisted");
 }
 
+// An op_timeout_ms past the clock's range saturates to "no deadline"
+// instead of overflowing its conversion to microseconds (undefined
+// behaviour, fatal under UBSan): the file opens and reads as usual.
+TEST_P(StrategiesTest, OpTimeoutPastTheClockRangeMeansNoDeadline) {
+  SentinelSpec spec = NullSpec();
+  spec.config["op_timeout_ms"] = "9223372036854775807";
+  ASSERT_OK(manager_.CreateActiveFile("t.af", spec, AsBytes("abcd")));
+  auto handle = api_.OpenFile("t.af", vfs::OpenMode::kRead);
+  ASSERT_OK(handle.status());
+  Buffer out(4);
+  auto got = api_.ReadFile(*handle, MutableByteSpan(out));
+  ASSERT_OK(got.status());
+  EXPECT_EQ(ToString(ByteSpan(out.data(), *got)), "abcd");
+  ASSERT_OK(api_.CloseHandle(*handle));
+}
+
 TEST_P(StrategiesTest, MemoryCacheWritesBackAtClose) {
   ASSERT_OK(manager_.CreateActiveFile("m.af", NullSpec("memory")));
   auto handle = api_.OpenFile("m.af", vfs::OpenMode::kReadWrite);
