@@ -14,11 +14,9 @@
 namespace afs::core {
 namespace {
 
-// Client cache granularity.  One block is also the unit the dirty budget
-// charges: a block's first dirtying Admit()s kBlockSize against the gate
-// and its flush Release()s it, so `cache_bytes` bounds un-flushed
-// write-behind exactly the way AFS_LOOP_MAX_QUEUE_BYTES bounds a loop
-// shard's queue.
+// Client cache granularity.  The resident set, dirty blocks included, is
+// capped at cache_bytes / kBlockSize blocks (EvictForInsertLocked), which
+// is also what bounds un-flushed write-behind.
 constexpr std::size_t kBlockSize = 4096;
 
 std::int64_t SteadyNowMicros() {
@@ -177,10 +175,7 @@ class CachedHandle final : public vfs::FileHandle, public ActiveHandle {
                const ClientCacheOptions& options)
       : inner_(std::move(inner)),
         channel_(std::move(channel)),
-        options_(options),
-        dirty_gate_(AdmissionGate::Limits{
-            /*max_queue_bytes=*/options.cache_bytes,
-            /*rate_bytes_per_second=*/0, /*burst_bytes=*/0}) {}
+        options_(options) {}
 
   ~CachedHandle() override = default;
 
@@ -253,7 +248,6 @@ class CachedHandle final : public vfs::FileHandle, public ActiveHandle {
         AFS_RETURN_IF_ERROR(EnsureBlockLocked(index, &block));
       }
       if (!block->dirty) {
-        AFS_RETURN_IF_ERROR(AdmitDirtyLocked(&block, index));
         block->dirty = true;
         cache_metrics::DirtyBytes().Add(static_cast<std::int64_t>(kBlockSize));
       }
@@ -287,7 +281,7 @@ class CachedHandle final : public vfs::FileHandle, public ActiveHandle {
     }
     const std::int64_t target = base + offset;
     if (target < 0) {
-      return InvalidArgumentError("seek before start of file");
+      return OutOfRangeError("seek before start of file");
     }
     position_ = static_cast<std::uint64_t>(target);
     return position_;
@@ -384,9 +378,9 @@ class CachedHandle final : public vfs::FileHandle, public ActiveHandle {
     if (lease.revocations != seen_revocations_) {
       // A supervised restart voided the lease (sentinel death or wedge).
       // Dirty blocks are committed application writes: flush them
-      // through the supervised inner handle — whose journal replay
-      // restores the session first — then drop the rest rather than
-      // serve blocks from a dead incarnation.
+      // through the supervised inner handle, whose recovery has already
+      // replayed the session onto the new sentinel, then drop the rest
+      // rather than serve blocks from a dead incarnation.
       AFS_RETURN_IF_ERROR(FlushDirtyLocked());
       DropAllLocked();
       seen_revocations_ = lease.revocations;
@@ -417,7 +411,7 @@ class CachedHandle final : public vfs::FileHandle, public ActiveHandle {
     return Status::Ok();
   }
 
-  // One cheap journaled crossing whose response re-arms the lease via the
+  // One cheap crossing whose response re-arms the lease via the
   // link's Observe.  A seek to the current position is position-neutral
   // on the sentinel and gives consistency=always sentinels their upstream
   // revalidation point.
@@ -499,8 +493,7 @@ class CachedHandle final : public vfs::FileHandle, public ActiveHandle {
   }
 
   // Keeps the resident set within cache_bytes, preferring clean victims;
-  // when every block is dirty, the pending write-behind flushes first
-  // (which also replenishes the dirty budget).
+  // when every block is dirty, the pending write-behind flushes first.
   Status EvictForInsertLocked() AFS_REQUIRES(mu_) {
     const std::size_t budget_blocks =
         std::max<std::size_t>(1, options_.cache_bytes / kBlockSize);
@@ -521,29 +514,10 @@ class CachedHandle final : public vfs::FileHandle, public ActiveHandle {
     return Status::Ok();
   }
 
-  // Charges one block against the dirty budget; on overload the pending
-  // write-behind flushes (releasing its charges) and the admit retries.
-  // `block` is re-looked-up after a flush because flushing never moves
-  // blocks, but future maintainers should not rely on map iterators here.
-  Status AdmitDirtyLocked(Block** block, std::uint64_t index)
-      AFS_REQUIRES(mu_) {
-    Status admitted = dirty_gate_.Admit(kBlockSize);
-    if (admitted.ok()) return Status::Ok();
-    AFS_RETURN_IF_ERROR(FlushDirtyLocked());
-    AFS_RETURN_IF_ERROR(dirty_gate_.Admit(kBlockSize));
-    auto it = blocks_.find(index);
-    if (it == blocks_.end()) {
-      dirty_gate_.Release(kBlockSize);
-      return InternalError("cache block vanished during dirty admit");
-    }
-    *block = &it->second;
-    return Status::Ok();
-  }
-
   // Pushes every dirty block through the inner handle's positional write
   // path (seek + write), in ascending offset order.  Under supervision
-  // those writes land in the session journal, which is what makes
-  // kill-with-dirty-blocks replay byte-exact.
+  // each write is a retried op whose file pointer the supervised handle
+  // replays, which is what makes kill-with-dirty-blocks byte-exact.
   Status FlushDirtyLocked() AFS_REQUIRES(mu_) {
     AFS_FAULT_POINT("core.cache.flush");
     for (auto& [index, block] : blocks_) {
@@ -565,7 +539,6 @@ class CachedHandle final : public vfs::FileHandle, public ActiveHandle {
         inner_pos_ += *n;
       }
       block.dirty = false;
-      dirty_gate_.Release(kBlockSize);
       cache_metrics::DirtyBytes().Add(-static_cast<std::int64_t>(kBlockSize));
     }
     return Status::Ok();
@@ -573,10 +546,9 @@ class CachedHandle final : public vfs::FileHandle, public ActiveHandle {
 
   void DropAllLocked() AFS_REQUIRES(mu_) {
     // Callers flush first; any block still dirty here is being discarded
-    // deliberately, so its budget charge must come back.
+    // deliberately, so the gauge must give its bytes back.
     for (auto& [index, block] : blocks_) {
       if (!block.dirty) continue;
-      dirty_gate_.Release(kBlockSize);
       cache_metrics::DirtyBytes().Add(-static_cast<std::int64_t>(kBlockSize));
     }
     blocks_.clear();
@@ -587,8 +559,6 @@ class CachedHandle final : public vfs::FileHandle, public ActiveHandle {
   const ClientCacheOptions options_;
 
   Mutex mu_;
-  // afs-lint: allow(guarded-member: AdmissionGate is internally synchronized)
-  AdmissionGate dirty_gate_;
   std::map<std::uint64_t, Block> blocks_ AFS_GUARDED_BY(mu_);
   std::uint64_t position_ AFS_GUARDED_BY(mu_) = 0;
   std::uint64_t inner_pos_ AFS_GUARDED_BY(mu_) = 0;

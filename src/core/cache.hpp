@@ -30,7 +30,6 @@
 
 #include "common/mutex.hpp"
 #include "common/status.hpp"
-#include "core/overload.hpp"
 #include "core/strategies.hpp"
 #include "sentinel/control.hpp"
 #include "vfs/file_handle.hpp"
@@ -98,8 +97,8 @@ class CacheLeaseChannel {
 
 // Options for one cached open, parsed from the spec by the manager:
 //   cache        : read | write (off never constructs a CachedHandle)
-//   cache_bytes  : total block-cache budget (default 256 KiB); also the
-//                  AdmissionGate budget bounding dirty write-behind bytes
+//   cache_bytes  : total block-cache budget (default 256 KiB); dirty
+//                  write-behind blocks count against it
 //   lease_ms     : granted by the sentinel; the client only consumes it
 struct ClientCacheOptions {
   ClientCacheMode mode = ClientCacheMode::kRead;

@@ -5,7 +5,6 @@
 #include "common/faultpoint.hpp"
 #include "core/bundle.hpp"
 #include "core/cache.hpp"
-#include "core/session_journal.hpp"
 #include "vfs/paths.hpp"
 
 namespace afs::core {
@@ -19,8 +18,6 @@ ActiveFileManager::ActiveFileManager(vfs::FileApi& api,
   }
   std::error_code ec;
   std::filesystem::create_directories(options_.lock_dir, ec);
-  journal_ =
-      std::make_unique<SessionJournal>(options_.lock_dir + "/sessions.journal");
 }
 
 ActiveFileManager::~ActiveFileManager() { Uninstall(); }
@@ -147,8 +144,7 @@ Result<std::unique_ptr<vfs::FileHandle>> ActiveFileManager::TryOpen(
   AFS_ASSIGN_OR_RETURN(RestartPolicy policy,
                        RestartPolicy::FromSpec(request.spec.config));
   Result<std::unique_ptr<vfs::FileHandle>> opened =
-      policy.supervised ? OpenSupervised(*journal_, registry_, strategy,
-                                         request, policy)
+      policy.supervised ? OpenSupervised(registry_, strategy, request, policy)
                         : OpenWithStrategy(strategy, registry_, request);
   if (!opened.ok() || !client_cache) return opened;
   return WrapCached(std::move(*opened), request.cache_channel, cache_options);

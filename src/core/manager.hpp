@@ -19,8 +19,6 @@
 
 namespace afs::core {
 
-class SessionJournal;
-
 struct ManagerOptions {
   // Used when a bundle's config carries no "strategy" key.
   Strategy default_strategy = Strategy::kThread;
@@ -72,19 +70,11 @@ class ActiveFileManager final : public vfs::OpenInterceptor {
       vfs::FileApi& api, const std::string& path,
       const vfs::OpenOptions& options) override;
 
-  // The session journal backing supervised opens (lives in the lock dir).
-  SessionJournal& session_journal() noexcept { return *journal_; }
-
  private:
   vfs::FileApi& api_;
   sentinel::SentinelRegistry& registry_;
   ManagerOptions options_;
   bool installed_ = false;
-
-  // Supervision plumbing: bundles whose spec opts in ("supervise=1") are
-  // opened through OpenSupervised with this; everything else keeps the
-  // classic unsupervised path.
-  std::unique_ptr<SessionJournal> journal_;
 };
 
 }  // namespace afs::core

@@ -7,10 +7,9 @@
 // and timeouts for everyone.  This module makes saturation a *handled*
 // state instead: the command stub (LinkHandle, core/strategies.cpp) admits
 // every op against its link's gate (the admit_* rate budget) and, on the
-// loop strategy, its shard's gate (the shard byte budget); the client
-// cache's dirty budget is a third gate.  An op either gets capacity
-// charged against the gate's budgets or is shed immediately with
-// kOverloaded and a retry-after hint the whole stack propagates
+// loop strategy, its shard's gate (the shard byte budget).  An op either
+// gets capacity charged against the gate's budgets or is shed immediately
+// with kOverloaded and a retry-after hint the whole stack propagates
 // (docs/OVERLOAD.md).
 #pragma once
 

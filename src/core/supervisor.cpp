@@ -6,12 +6,12 @@
 #include <climits>
 #include <cstdlib>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/log.hpp"
 #include "core/cache.hpp"
-#include "core/session_journal.hpp"
 #include "obs/metrics.hpp"
 
 namespace afs::core {
@@ -29,6 +29,13 @@ long long ParseIntKey(const std::map<std::string, std::string>& config,
   auto it = config.find(key);
   if (it == config.end()) return fallback;
   return std::strtoll(it->second.c_str(), nullptr, 10);
+}
+
+// The failure an op reported, for both return shapes of FileHandle ops.
+const Status& StatusOf(const Status& status) { return status; }
+template <typename T>
+const Status& StatusOf(const Result<T>& result) {
+  return result.status();
 }
 
 }  // namespace
@@ -172,33 +179,20 @@ class DegradedHandle final : public vfs::FileHandle {
   std::uint64_t write_pos_;
 };
 
-// Journal records are write-ahead best-effort: a lost record degrades crash
-// recovery (replay may resume from a stale cursor) but must never fail the
-// application's I/O.  The drop counter is how a sick journal disk surfaces.
-void JournalDrop(const Status& recorded) {
-  if (recorded.ok()) return;
-  static obs::Counter& drops =
-      obs::Registry::Global().GetCounter("core.supervisor.journal_drops");
-  drops.Add(1);
-}
-
 // ---------------------------------------------------------------------
 // SupervisedHandle: the tentpole.  Wraps a strategy-opened stub and keeps
 // the application's view of the file intact across sentinel crashes.
 
 class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
  public:
-  SupervisedHandle(SessionJournal& journal,
-                   const sentinel::SentinelRegistry& registry,
+  SupervisedHandle(const sentinel::SentinelRegistry& registry,
                    Strategy strategy, OpenRequest request,
                    RestartPolicy policy)
-      : journal_(journal),
-        registry_(registry),
+      : registry_(registry),
         strategy_(strategy),
         stream_(strategy == Strategy::kProcess),
         request_(std::move(request)),
-        policy_(policy),
-        id_(journal.NextId()) {}
+        policy_(policy) {}
 
   ~SupervisedHandle() override {
     MutexLock lock(mu_);
@@ -214,8 +208,6 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
   // acknowledgement) consume restart budget like any later crash.
   Status Open() {
     MutexLock lock(mu_);
-    JournalDrop(journal_.RecordOpen(id_, std::string(StrategyName(strategy_)),
-                              request_.vfs_path));
     while (true) {
       Status opened = OpenSessionLocked();
       if (opened.ok()) return Status::Ok();
@@ -228,110 +220,64 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
   Result<std::size_t> Read(MutableByteSpan out) override {
     MutexLock lock(mu_);
     AFS_RETURN_IF_ERROR(Ready());
-    if (mode_ == Mode::kDegraded) return degraded_->Read(out);
-    JournalDrop(journal_.RecordOp(id_, "read", LogicalPos(), out.size()));
-    while (true) {
-      Result<std::size_t> got = inner_->Read(out);
-      if (got.ok() && !(stream_ && *got == 0 && StreamEofWasCrash())) {
-        if (stream_) {
-          read_pos_ += *got;
-        } else {
-          position_ += static_cast<std::int64_t>(*got);
-        }
-        JournalDrop(journal_.RecordDone(id_, LogicalPos()));
-        return got;
-      }
-      const Status failure =
-          got.ok() ? ClosedError("sentinel died mid-stream") : got.status();
-      if (!CrashClass(failure)) return failure;
-      AFS_RETURN_IF_ERROR(RecoverLocked("read"));
-      if (mode_ == Mode::kDegraded) return degraded_->Read(out);
+    Result<std::size_t> got = Replayable(
+        "read",
+        [&](vfs::FileHandle& h) AFS_REQUIRES(mu_) -> Result<std::size_t> {
+          Result<std::size_t> n = h.Read(out);
+          if (n.ok() && *n == 0 && stream_ && StreamEofWasCrash()) {
+            return ClosedError("sentinel died mid-stream");
+          }
+          return n;
+        });
+    if (!got.ok()) return got;
+    if (stream_) {
+      read_pos_ += *got;
+    } else {
+      position_ += static_cast<std::int64_t>(*got);
     }
+    return got;
   }
 
   Result<std::size_t> Write(ByteSpan data) override {
     MutexLock lock(mu_);
     AFS_RETURN_IF_ERROR(Ready());
-    if (mode_ == Mode::kDegraded) return degraded_->Write(data);
-    JournalDrop(journal_.RecordOp(id_, "write",
-                            stream_ ? static_cast<std::int64_t>(write_pos_)
-                                    : position_,
-                            data.size()));
-    if (stream_) return StreamWrite(data);
-    while (true) {
-      Result<std::size_t> wrote = inner_->Write(data);
-      if (wrote.ok()) {
-        position_ += static_cast<std::int64_t>(*wrote);
-        JournalDrop(journal_.RecordDone(id_, position_));
-        return wrote;
-      }
-      if (!CrashClass(wrote.status())) return wrote;
-      AFS_RETURN_IF_ERROR(RecoverLocked("write"));
-      if (mode_ == Mode::kDegraded) return degraded_->Write(data);
-    }
+    if (stream_ && mode_ == Mode::kActive) return StreamWrite(data);
+    Result<std::size_t> wrote = Replayable(
+        "write", [&](vfs::FileHandle& h) { return h.Write(data); });
+    if (wrote.ok()) position_ += static_cast<std::int64_t>(*wrote);
+    return wrote;
   }
 
+  // The stream strategy's stub answers Seek, Size and SetEndOfFile with
+  // kUnsupported locally, which is not crash-class: it passes straight
+  // through the retry loop.
   Result<std::uint64_t> Seek(std::int64_t offset,
                              vfs::SeekOrigin origin) override {
     MutexLock lock(mu_);
     AFS_RETURN_IF_ERROR(Ready());
-    if (mode_ == Mode::kDegraded) return degraded_->Seek(offset, origin);
-    if (stream_) return inner_->Seek(offset, origin);  // kUnsupported
-    JournalDrop(journal_.RecordOp(id_, "seek", offset, 0));
-    while (true) {
-      Result<std::uint64_t> pos = inner_->Seek(offset, origin);
-      if (pos.ok()) {
-        position_ = static_cast<std::int64_t>(*pos);
-        JournalDrop(journal_.RecordDone(id_, position_));
-        return pos;
-      }
-      if (!CrashClass(pos.status())) return pos;
-      AFS_RETURN_IF_ERROR(RecoverLocked("seek"));
-      if (mode_ == Mode::kDegraded) return degraded_->Seek(offset, origin);
-    }
+    Result<std::uint64_t> pos = Replayable(
+        "seek", [&](vfs::FileHandle& h) { return h.Seek(offset, origin); });
+    if (pos.ok()) position_ = static_cast<std::int64_t>(*pos);
+    return pos;
   }
 
   Result<std::uint64_t> Size() override {
     MutexLock lock(mu_);
     AFS_RETURN_IF_ERROR(Ready());
-    if (mode_ == Mode::kDegraded) return degraded_->Size();
-    if (stream_) return inner_->Size();  // kUnsupported
-    while (true) {
-      Result<std::uint64_t> size = inner_->Size();
-      if (size.ok() || !CrashClass(size.status())) return size;
-      AFS_RETURN_IF_ERROR(RecoverLocked("size"));
-      if (mode_ == Mode::kDegraded) return degraded_->Size();
-    }
+    return Replayable("size", [](vfs::FileHandle& h) { return h.Size(); });
   }
 
   Status SetEndOfFile() override {
     MutexLock lock(mu_);
     AFS_RETURN_IF_ERROR(Ready());
-    if (mode_ == Mode::kDegraded) return degraded_->SetEndOfFile();
-    if (stream_) return inner_->SetEndOfFile();  // kUnsupported
-    JournalDrop(journal_.RecordOp(id_, "seteof", position_, 0));
-    while (true) {
-      Status status = inner_->SetEndOfFile();
-      if (status.ok()) {
-        JournalDrop(journal_.RecordDone(id_, position_));
-        return status;
-      }
-      if (!CrashClass(status)) return status;
-      AFS_RETURN_IF_ERROR(RecoverLocked("seteof"));
-      if (mode_ == Mode::kDegraded) return degraded_->SetEndOfFile();
-    }
+    return Replayable("seteof",
+                      [](vfs::FileHandle& h) { return h.SetEndOfFile(); });
   }
 
   Status Flush() override {
     MutexLock lock(mu_);
     AFS_RETURN_IF_ERROR(Ready());
-    if (mode_ == Mode::kDegraded) return degraded_->Flush();
-    while (true) {
-      Status status = inner_->Flush();
-      if (status.ok() || !CrashClass(status)) return status;
-      AFS_RETURN_IF_ERROR(RecoverLocked("flush"));
-      if (mode_ == Mode::kDegraded) return degraded_->Flush();
-    }
+    return Replayable("flush", [](vfs::FileHandle& h) { return h.Flush(); });
   }
 
   Result<std::size_t> ReadScatter(
@@ -348,9 +294,6 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
     return total;
   }
 
-  // Locks and application-specific commands are not idempotent, so a crash
-  // mid-operation is NOT retried: the handle recovers (next operations
-  // work) but this call reports the failure.
   Status LockRange(std::uint64_t offset, std::uint64_t length) override {
     return NonReplayable("lock", [&](vfs::FileHandle& h) {
       return h.LockRange(offset, length);
@@ -362,24 +305,16 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
     });
   }
 
+  // A degraded handle serves only the data part, so it has no control
+  // channel either.
   Result<Buffer> Control(ByteSpan request) override {
-    MutexLock lock(mu_);
-    AFS_RETURN_IF_ERROR(Ready());
-    if (mode_ == Mode::kDegraded) {
-      return UnsupportedError("control unavailable on a degraded handle");
-    }
-    auto* active = dynamic_cast<ActiveHandle*>(inner_.get());
-    if (active == nullptr) {
-      return UnsupportedError("strategy has no control channel");
-    }
-    JournalDrop(journal_.RecordOp(id_, "custom", LogicalPos(), request.size()));
-    Result<Buffer> reply = active->Control(request);
-    if (!reply.ok() && CrashClass(reply.status())) {
-      (void)RecoverLocked("custom");  // heal the handle, report the failure
-      return reply.status();
-    }
-    if (reply.ok()) JournalDrop(journal_.RecordDone(id_, LogicalPos()));
-    return reply;
+    return NonReplayable("custom", [&](vfs::FileHandle& h) -> Result<Buffer> {
+      auto* active = dynamic_cast<ActiveHandle*>(&h);
+      if (active == nullptr) {
+        return UnsupportedError("handle has no control channel");
+      }
+      return active->Control(request);
+    });
   }
 
   Status Close() override {
@@ -389,7 +324,6 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
     if (mode_ == Mode::kDegraded) {
       status = degraded_->Close();
     } else if (mode_ == Mode::kActive) {
-      JournalDrop(journal_.RecordOp(id_, "close", LogicalPos(), 0));
       while (true) {
         status = inner_->Close();
         // The control strategies tolerate a sentinel that vanishes instead
@@ -399,11 +333,7 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
         if (status.ok() && ChildDiedAbnormally()) {
           status = ClosedError("sentinel died during close");
         }
-        if (status.ok()) {
-          JournalDrop(journal_.RecordDone(id_, LogicalPos()));
-          break;
-        }
-        if (!CloseCrashClass(status)) break;
+        if (status.ok() || !CloseCrashClass(status)) break;
         // Crash during close: the sentinel's OnClose side effects are in
         // doubt.  Restart so they run on a live sentinel; when the budget
         // runs out, fall back per the degrade mode (a degraded close
@@ -423,7 +353,6 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
     inner_.reset();
     degraded_.reset();
     closed_ = true;
-    JournalDrop(journal_.RecordClose(id_));
     return status;
   }
 
@@ -436,10 +365,6 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
       return ClosedError("active file failed permanently (degrade=fail)");
     }
     return Status::Ok();
-  }
-
-  std::int64_t LogicalPos() const AFS_REQUIRES(mu_) {
-    return stream_ ? static_cast<std::int64_t>(read_pos_) : position_;
   }
 
   bool ChildDiedAbnormally() AFS_REQUIRES(mu_) {
@@ -510,19 +435,37 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
     return status.code() == ErrorCode::kInternal && ChildDiedAbnormally();
   }
 
-  template <typename Fn>
-  Status NonReplayable(const char* op, Fn&& attempt) {
+  // The one retry loop of the replayable ops.  Runs `attempt` on the live
+  // session; a crash-class failure recovers (force down, restart, replay)
+  // and runs it again, on the degraded fallback once the restart budget is
+  // spent.  Callers update the replay state from the result; after a
+  // degrade nothing replays, so that bookkeeping is inert.
+  template <typename Attempt,
+            typename R = std::invoke_result_t<Attempt&, vfs::FileHandle&>>
+  R Replayable(const char* op, Attempt&& attempt) AFS_REQUIRES(mu_) {
+    if (mode_ == Mode::kDegraded) return attempt(*degraded_);
+    while (true) {
+      R result = attempt(*inner_);
+      if (result.ok() || !CrashClass(StatusOf(result))) return result;
+      AFS_RETURN_IF_ERROR(RecoverLocked(op));
+      if (mode_ == Mode::kDegraded) return attempt(*degraded_);
+    }
+  }
+
+  // Locks and application-specific commands are not idempotent, so a crash
+  // mid-operation is NOT retried: the handle heals (the next operation
+  // works) but this call reports the failure.
+  template <typename Attempt,
+            typename R = std::invoke_result_t<Attempt&, vfs::FileHandle&>>
+  R NonReplayable(const char* op, Attempt&& attempt) {
     MutexLock lock(mu_);
     AFS_RETURN_IF_ERROR(Ready());
     if (mode_ == Mode::kDegraded) return attempt(*degraded_);
-    JournalDrop(journal_.RecordOp(id_, op, LogicalPos(), 0));
-    Status status = attempt(*inner_);
-    if (!status.ok() && CrashClass(status)) {
-      (void)RecoverLocked(op);
-      return status;
+    R result = attempt(*inner_);
+    if (!result.ok() && CrashClass(StatusOf(result))) {
+      (void)RecoverLocked(op);  // heal the handle, report the failure
     }
-    if (status.ok()) JournalDrop(journal_.RecordDone(id_, LogicalPos()));
-    return status;
+    return result;
   }
 
   // Stream writes are fire-and-forget, so the crash retry IS the replay:
@@ -534,7 +477,6 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
     Result<std::size_t> wrote = inner_->Write(data);
     if (wrote.ok()) {
       write_pos_ += *wrote;
-      JournalDrop(journal_.RecordDone(id_, LogicalPos()));
       return wrote;
     }
     if (!CrashClass(wrote.status())) return wrote;
@@ -542,7 +484,6 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
     if (mode_ == Mode::kDegraded) return degraded_->Write(data);
     // Recovery replayed the log (this write included).
     write_pos_ += data.size();
-    JournalDrop(journal_.RecordDone(id_, LogicalPos()));
     return data.size();
   }
 
@@ -617,7 +558,6 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
     static obs::Counter& restarts =
         obs::Registry::Global().GetCounter("core.supervisor.restarts");
     restarts.Add(1);
-    JournalDrop(journal_.RecordRestart(id_, restarts_));
     // Doubling delay, recomputed from the attempt number so the budget is
     // global to the handle rather than per-operation.  Comparing against
     // half the cap keeps the doubling from overflowing.
@@ -673,8 +613,6 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
     static obs::Counter& degrades =
         obs::Registry::Global().GetCounter("core.supervisor.degrades");
     degrades.Add(1);
-    JournalDrop(journal_.RecordDegrade(
-        id_, std::string(DegradeModeName(policy_.degrade))));
     if (policy_.degrade == DegradeMode::kFail) {
       mode_ = Mode::kFailed;
       AFS_LOG(kError, "afs.supervisor")
@@ -721,13 +659,11 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
   // inner handle owns.
   void DropProbe() AFS_REQUIRES(mu_) { probe_ = SessionProbe{}; }
 
-  SessionJournal& journal_;
   const sentinel::SentinelRegistry& registry_;
   const Strategy strategy_;
   const bool stream_;
   const OpenRequest request_;
   const RestartPolicy policy_;
-  const std::uint64_t id_;
 
   Mutex mu_;
   std::unique_ptr<vfs::FileHandle> inner_ AFS_GUARDED_BY(mu_);
@@ -737,7 +673,7 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
   bool closed_ AFS_GUARDED_BY(mu_) = false;
   int restarts_ AFS_GUARDED_BY(mu_) = 0;
 
-  // Replayable session state (mirrored write-ahead in the journal).
+  // The session record: what recovery replays onto a fresh sentinel.
   std::int64_t position_ AFS_GUARDED_BY(mu_) = 0;   // command strategies
   std::uint64_t read_pos_ AFS_GUARDED_BY(mu_) = 0;  // stream strategy
   std::uint64_t write_pos_ AFS_GUARDED_BY(mu_) = 0;
@@ -749,7 +685,6 @@ class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
 }  // namespace
 
 Result<std::unique_ptr<vfs::FileHandle>> OpenSupervised(
-    SessionJournal& journal,
     const sentinel::SentinelRegistry& registry, Strategy strategy,
     const OpenRequest& request, const RestartPolicy& policy) {
   if (strategy == Strategy::kDirect) {
@@ -770,7 +705,7 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenSupervised(
     }
   }
   auto handle = std::make_unique<SupervisedHandle>(
-      journal, registry, strategy, request, policy);
+      registry, strategy, request, policy);
   AFS_RETURN_IF_ERROR(handle->Open());
   return std::unique_ptr<vfs::FileHandle>(std::move(handle));
 }

@@ -14,10 +14,13 @@
 // either signal OpenSupervised's stub forces the old sentinel down
 // (SessionProbe::force_down),
 // restarts it with bounded backoff (RestartPolicy), re-attaches by
-// replaying the file-pointer position from a replayable session record
-// (SessionJournal), retries the interrupted idempotent operation, and —
-// when restarts are exhausted — degrades per the bundle's declared mode
-// (passthrough/readonly) instead of poisoning the handle.
+// replaying the session record the handle keeps in memory (the file
+// pointer for the command strategies, the write log for the stream
+// strategy), retries the interrupted idempotent operation, and — when
+// restarts are exhausted — degrades per the bundle's declared mode
+// (passthrough/readonly) instead of poisoning the handle.  The restart,
+// degrade and permanent-failure log lines and the core.supervisor.*
+// counters are the audit record.
 #pragma once
 
 #include <functional>
@@ -32,8 +35,6 @@
 #include "vfs/file_handle.hpp"
 
 namespace afs::core {
-
-class SessionJournal;
 
 // What a bundle falls back to when its sentinel is permanently dead
 // (restart budget exhausted or restart disabled).
@@ -92,11 +93,9 @@ struct SessionProbe {
 // Opens `request` under supervision: the returned handle transparently
 // restarts its sentinel per `policy` and replays position/state so the
 // application never observes the crash (or degrades per the declared
-// mode).  `journal` records the replayable session state write-ahead.
-// Direct-strategy opens are not supervisable (the sentinel runs in the
-// caller's frame) and are rejected with kUnsupported.
+// mode).  Direct-strategy opens are not supervisable (the sentinel runs in
+// the caller's frame) and are rejected with kUnsupported.
 Result<std::unique_ptr<vfs::FileHandle>> OpenSupervised(
-    SessionJournal& journal,
     const sentinel::SentinelRegistry& registry, Strategy strategy,
     const OpenRequest& request, const RestartPolicy& policy);
 

@@ -10,8 +10,10 @@
 // core.cache.recalls, core.cache.dirty_bytes, core.cache.lease_renews.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -350,6 +352,88 @@ TEST_F(CacheTest, DirtyBytesGaugeDrainsOnFlush) {
   ASSERT_OK(api_.FlushFileBuffers(*handle));
   EXPECT_EQ(gauge.Value(), before);
   ASSERT_OK(api_.CloseHandle(*handle));
+}
+
+// Write-behind needs no admission gate to stay bounded: the resident set,
+// dirty blocks included, is capped at cache_bytes / 4096 blocks, and an
+// insert past the cap flushes first.  So un-flushed bytes never rise more
+// than cache_bytes above the gauge's start, dirtying a block leaves the
+// overload admission counters alone, and the upstream ends byte-exact.
+TEST_F(CacheTest, WriteBehindStaysWithinCacheBytesWithoutAdmission) {
+  constexpr std::size_t kSize = 64 * 1024;
+  constexpr std::int64_t kCacheBytes = 8192;
+  std::string expect(kSize, '.');
+  ASSERT_OK(upstream_.Mutate("budget.txt", expect));
+  sentinel::SentinelSpec spec = RemoteSpec("budget.txt", "write", "5000");
+  spec.config["cache_bytes"] = std::to_string(kCacheBytes);
+  ASSERT_OK(manager_->CreateActiveFile("budget.af", spec));
+
+  auto handle = api_.OpenFile("budget.af", vfs::OpenMode::kReadWrite);
+  ASSERT_OK(handle.status());
+  auto& gauge = obs::Registry::Global().GetGauge("core.cache.dirty_bytes");
+  const std::int64_t dirty_before = gauge.Value();
+  const std::uint64_t admitted_before = CounterValue("core.overload.admitted");
+
+  // Whole blocks and odd sizes that straddle block boundaries.
+  const std::size_t steps[] = {4096, 1000, 4096, 3333, 517, 4096, 7};
+  std::size_t offset = 0;
+  std::int64_t peak_rise = 0;
+  for (int i = 0; offset < kSize; ++i) {
+    const std::size_t n = std::min(steps[i % 7], kSize - offset);
+    const std::string data(n, static_cast<char>('A' + i % 26));
+    auto wrote = api_.WriteFile(*handle, AsBytes(data));
+    ASSERT_OK(wrote.status());
+    ASSERT_EQ(*wrote, n);
+    expect.replace(offset, n, data);
+    offset += n;
+    const std::int64_t rise = gauge.Value() - dirty_before;
+    EXPECT_LE(rise, kCacheBytes) << "after " << offset << " bytes";
+    peak_rise = std::max(peak_rise, rise);
+  }
+  EXPECT_GT(peak_rise, 0);  // the writes really went write-behind
+  EXPECT_EQ(CounterValue("core.overload.admitted"), admitted_before);
+  ASSERT_OK(api_.CloseHandle(*handle));
+
+  auto server_side = upstream_.store().Get("budget.txt");
+  ASSERT_OK(server_side.status());
+  EXPECT_EQ(ToString(ByteSpan(*server_side)), expect);
+}
+
+// A seek before the start of the file is kOutOfRange with or without the
+// client cache: turning on cache=read|write must not change what
+// SetFilePointer reports.
+TEST_F(CacheTest, SeekBeforeStartMatchesTheUncachedTwin) {
+  ASSERT_OK(upstream_.Mutate("seek.txt", std::string("0123456789")));
+  std::map<std::string, vfs::HandleId> handles;
+  for (const std::string mode : {"off", "read", "write"}) {
+    ASSERT_OK(manager_->CreateActiveFile(
+        "seek-" + mode + ".af", RemoteSpec("seek.txt", mode, "5000")));
+    auto handle = api_.OpenFile("seek-" + mode + ".af",
+                                vfs::OpenMode::kReadWrite);
+    ASSERT_OK(handle.status());
+    handles[mode] = *handle;
+  }
+  const std::pair<std::int64_t, vfs::SeekOrigin> seeks[] = {
+      {-1, vfs::SeekOrigin::kBegin},
+      {-1, vfs::SeekOrigin::kCurrent},
+      {-11, vfs::SeekOrigin::kEnd},
+  };
+  auto seek_code = [&](const std::string& mode, std::int64_t offset,
+                       vfs::SeekOrigin origin) {
+    return std::string(ErrorCodeName(
+        api_.SetFilePointer(handles[mode], offset, origin).status().code()));
+  };
+  for (const auto& [offset, origin] : seeks) {
+    SCOPED_TRACE("offset " + std::to_string(offset));
+    const std::string uncached = seek_code("off", offset, origin);
+    EXPECT_EQ(uncached, ErrorCodeName(ErrorCode::kOutOfRange));
+    for (const std::string mode : {"read", "write"}) {
+      EXPECT_EQ(seek_code(mode, offset, origin), uncached) << "cache=" << mode;
+    }
+  }
+  for (const auto& [mode, handle] : handles) {
+    EXPECT_OK(api_.CloseHandle(handle));
+  }
 }
 
 }  // namespace

@@ -152,6 +152,20 @@ TEST_F(LintFixtureTest, NonblockingFlagsSeededViolationOnly) {
   EXPECT_EQ(code, 0) << out;
 }
 
+// Fault evaluation is one traversal cut for both site forms: a sleep
+// behind `fault::Hit` or `AFS_FAULT_POINT` is not reported, a sleep beside
+// them is, and through its own call chain.
+TEST_F(LintFixtureTest, NonblockingCutsBothFaultSiteForms) {
+  auto [code, out] = Lint("nonblocking", "nonblocking_fault_bad.cpp");
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(out.find("fixture::PumpOnce -> fixture::Backoff"),
+            std::string::npos);
+  EXPECT_EQ(out.find("fault::Hit"), std::string::npos);
+
+  std::tie(code, out) = Lint("nonblocking", "nonblocking_fault_clean.cpp");
+  EXPECT_EQ(code, 0) << out;
+}
+
 TEST_F(LintFixtureTest, StatusDiscardFlagsBothShapesOnly) {
   auto [code, out] = Lint("status-discard", "status_discard_bad.cpp");
   EXPECT_EQ(code, 1);

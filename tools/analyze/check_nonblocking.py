@@ -24,6 +24,11 @@ Blocking policy (the lists below are the policy — edit them deliberately):
   `PipeEnd::ReadExact(out, deadline)`, each taking one `afs::Deadline`
   for the whole call — anything that converts a wedged peer into a
   `kTimeout`/`kBusy` the caller must handle.
+* fault evaluation (also a traversal cut): any call into `afs::fault`,
+  such as `fault::Hit(site)` and `AFS_FAULT_POINT(site)`, which the
+  model records as the same call.  A delay or kill rule fires there only
+  under an armed fault plan (a fault-injection run); with no plan the
+  site is one relaxed load.
 * `afs::Mutex::Lock` / `MutexLock` are allowed: in-process critical
   sections are short by construction (the lock-order checker and TSan keep
   them honest); what kills an event loop is waiting on a *peer* while
@@ -140,6 +145,8 @@ def _is_cut(call, fn, model):
     name = call.name
     if name in BOUNDED_CUT_NAMES:
         return True
+    if call.kind == "qualified" and "fault" in call.quals:
+        return True  # fault evaluation: see the policy in the docstring
     if name == "ReadFrame" and call.nargs >= 2:
         return True
     # The deadline-passing transfer calls; the shorter-arity forms of the

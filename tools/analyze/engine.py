@@ -737,8 +737,21 @@ class _Parser:
         args = self.toks[open_paren + 1:call_end - 1]
         nargs = _count_toplevel_commas(args)
         idents = frozenset(a.text for a in args if a.kind == "ident")
-        return Call(name=t.text, line=t.line, nargs=nargs, kind=kind,
+        name = t.text
+        if kind == "free" and name in _MACRO_CALLS:
+            kind = "qualified"
+            quals, name = _MACRO_CALLS[name]
+        return Call(name=name, line=t.line, nargs=nargs, kind=kind,
                     quals=quals, recv=recv, arg_idents=idents)
+
+
+# Function-like macros that stand for one call, recorded as that call so
+# every check sees one form.  AFS_FAULT_POINT(site) evaluates its site
+# exactly as `fault::Hit(site)` does, plus an early return
+# (src/common/faultpoint.hpp).
+_MACRO_CALLS = {
+    "AFS_FAULT_POINT": (("fault",), "Hit"),
+}
 
 
 def _count_toplevel_commas(toks: list[Tok]) -> int:
